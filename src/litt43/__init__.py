@@ -7,8 +7,8 @@ roots-of-unity discretization, and stochastic extremal search against the
 proved ceilings.
 """
 
-from .errors import (CapacityError, InadmissibleExponentsError, Litt43Error,
-                     SerializationError, UndefinedRatioError)
+from .errors import (CapacityError, InadmissibleExponentsError, InputParseError,
+                     Litt43Error, SerializationError, UndefinedRatioError)
 from .exponents import (INFINITY, ConstantReport, Exponent, ExponentPair,
                         RegionLabel, TWO_OVER_SQRT_PI, admissible,
                         classify_region, complex_constant_bounds, conjugate,
@@ -17,12 +17,11 @@ from .forms import (BilinearForm, MixedNormValue, form_from_json, form_to_json,
                     load_form, mixed_norm, random_form, save_form, transpose,
                     witness_a0)
 from .khinchin import (AverageResult, BleiBoundReport, CoefficientVector,
-                       blei_bound_check, e_m_average, khinchin_ratio, lr_norm,
+                       blei_bound_check, ceiling, e_m_average, khinchin_ratio, lr_norm,
                        rademacher_average, rotation_invariance_check,
                        steinhaus_expectation)
-from .opnorm import (RootsOfUnityGrid, SignPattern, TorusNormBounds,
-                     complex_norm_bounds, complex_norm_discrete, r_m,
-                     real_sup_norm)
+from .opnorm import (RootsOfUnityGrid, TorusNormBounds, complex_norm_bounds,
+                     complex_norm_discrete, r_m, real_sup_norm)
 from .search import (SearchConfig, SearchResult, checkpoint_load,
                      checkpoint_save, evaluate_witness, maximize_khinchin_ratio,
                      maximize_ratio)
@@ -31,17 +30,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Litt43Error", "InadmissibleExponentsError", "CapacityError",
-    "UndefinedRatioError", "SerializationError",
+    "UndefinedRatioError", "SerializationError", "InputParseError",
     "Exponent", "INFINITY", "ExponentPair", "RegionLabel", "ConstantReport",
     "TWO_OVER_SQRT_PI", "conjugate", "admissible", "classify_region",
     "real_constant", "complex_constant_bounds",
     "BilinearForm", "MixedNormValue", "mixed_norm", "transpose", "witness_a0",
     "random_form", "form_to_json", "form_from_json", "save_form", "load_form",
-    "SignPattern", "RootsOfUnityGrid", "TorusNormBounds", "real_sup_norm",
+    "RootsOfUnityGrid", "TorusNormBounds", "real_sup_norm",
     "complex_norm_discrete", "r_m", "complex_norm_bounds",
     "CoefficientVector", "AverageResult", "BleiBoundReport", "lr_norm",
     "rademacher_average", "khinchin_ratio", "e_m_average",
-    "rotation_invariance_check", "steinhaus_expectation", "blei_bound_check",
+    "rotation_invariance_check", "steinhaus_expectation", "blei_bound_check", "ceiling",
     "SearchConfig", "SearchResult", "maximize_ratio", "maximize_khinchin_ratio",
     "evaluate_witness", "checkpoint_save", "checkpoint_load",
     "__version__",

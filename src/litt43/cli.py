@@ -31,14 +31,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (CapacityError, InadmissibleExponentsError, Litt43Error,
+from .errors import (CapacityError, InadmissibleExponentsError, InputParseError,
                      SerializationError, UndefinedRatioError)
 from .exponents import (Exponent, ExponentPair, admissible, classify_region,
                         complex_constant_bounds, real_constant)
 from .forms import load_form
 from .jsonio import canonical_dumps, format_float
-from .khinchin import (blei_bound_check, e_m_average, khinchin_ratio,
-                       rademacher_average, steinhaus_expectation)
+from .khinchin import (_ratio, ceiling, e_m_average, rademacher_average,
+                       steinhaus_expectation)
 from .opnorm import complex_norm_bounds, real_sup_norm
 from .search import (SearchConfig, checkpoint_save, maximize_khinchin_ratio,
                      maximize_ratio)
@@ -50,29 +50,13 @@ TIE_BREAK_NOTE = "region tie-break priority on shared boundaries: RII > RIII > R
 
 _SQRT2 = math.sqrt(2.0)
 
-
-class InputParseError(Litt43Error, ValueError):
-    """Unparseable command-line input (exit code 4)."""
+# CLI model names -> litt43.khinchin model names
+_MODELS = {"rademacher": "rademacher", "em": "e_m", "steinhaus": "steinhaus"}
 
 
 # ---------------------------------------------------------------------------
 # parsing and formatting helpers
 # ---------------------------------------------------------------------------
-
-def _parse_exponent(text: str, name: str) -> Exponent:
-    s = text.strip().lower()
-    if s in ("inf", "infinity", "oo"):
-        return Exponent(math.inf)
-    try:
-        value = float(Fraction(s)) if "/" in s else float(s)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise InputParseError(f"cannot parse exponent {name} = {text!r}") from exc
-    if math.isnan(value) or value < 1.0:
-        raise InadmissibleExponentsError(
-            f"{name} = {text} violates {name} >= 1 (admissibility needs "
-            f"a, b >= 1 and 1/a + 1/b <= 3/2)")
-    return Exponent(value)
-
 
 def _parse_coeffs(text: str) -> np.ndarray:
     tokens = [t for t in text.split(",") if t.strip()]
@@ -129,18 +113,16 @@ def _emit_json(doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _cmd_constant(args) -> int:
-    a = _parse_exponent(args.a, "a")
-    b = _parse_exponent(args.b, "b")
-    pair = ExponentPair(a, b)
+    pair = ExponentPair.of(args.a, args.b)
     if not admissible(pair):
-        total = a.reciprocal + b.reciprocal
+        total = pair.a.reciprocal + pair.b.reciprocal
         sys.stderr.write(
             f"inadmissible exponents: 1/a + 1/b = {format_float(total)} violates "
             f"1/a + 1/b <= 3/2\n")
         return 2
     region = classify_region(pair)
     report = real_constant(pair) if args.field == "real" else complex_constant_bounds(pair)
-    print(f"(a, b) = ({a}, {b})   field = {args.field}   region = {region}")
+    print(f"(a, b) = {pair}   field = {args.field}   region = {region}")
     if report.exact is not None:
         print(f"exact = {_annotate(report.exact)}")
     else:
@@ -299,27 +281,20 @@ def _cmd_khinchin(args) -> int:
             raise InputParseError("--model em requires --M")
         result = e_m_average(coeffs, args.M)
         doc["M"] = args.M
-    elif args.model == "steinhaus":
-        if args.method == "quadrature":
-            result = steinhaus_expectation(coeffs, method="quadrature", q=args.Q)
-            doc["Q"] = args.Q
-        else:
-            schedule = [int(v) for v in args.schedule.split(",")]
-            result = steinhaus_expectation(coeffs, method="e_m_limit", schedule=schedule)
-            doc["schedule"] = schedule
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputParseError(f"unknown model {args.model!r}")
+    elif args.method == "quadrature":  # steinhaus
+        result = steinhaus_expectation(coeffs, method="quadrature", q=args.Q)
+        doc["Q"] = args.Q
+    else:
+        schedule = [int(v) for v in args.schedule.split(",")]
+        result = steinhaus_expectation(coeffs, method="e_m_limit", schedule=schedule)
+        doc["schedule"] = schedule
     doc.update({"model": args.model, "method": result.method, "value": result.value,
                 "error_bound": result.error_bound})
     if args.r is not None:
-        r = _parse_exponent(args.r, "r")
-        if args.model == "rademacher":
-            doc["ratio"] = khinchin_ratio(coeffs, r)
-            doc["ceiling"] = 2.0 ** r.reciprocal
-        elif args.model == "em":
-            rep = blei_bound_check(coeffs, args.M, r)
-            doc.update({"ratio": rep.ratio, "ceiling": rep.ceiling,
-                        "violation": rep.violation})
+        r = Exponent.parse(args.r)
+        bound, _ = ceiling(_MODELS[args.model], r, args.M)
+        ratio = _ratio(coeffs, r, result.value)
+        doc.update({"ratio": ratio, "ceiling": bound, "violation": ratio > bound + 1e-9})
     _emit_json(doc)
     return 0
 
@@ -330,15 +305,13 @@ def _cmd_search(args) -> int:
                        budget_seconds=args.budget_seconds)
     workers = args.workers or int(os.environ.get("LITT43_WORKERS", "1"))
     if args.kind == "form":
-        pair = ExponentPair(_parse_exponent(args.a, "a"), _parse_exponent(args.b, "b"))
+        pair = ExponentPair.of(args.a, args.b)
         result = maximize_ratio(args.field, pair, cfg, m=args.M, workers=workers)
     else:
         if args.model == "em" and not args.M:
             raise InputParseError("--model em requires --M")
-        model = {"rademacher": "rademacher", "em": "e_m", "steinhaus": "steinhaus"}[args.model]
-        r = _parse_exponent(args.r, "r")
-        result = maximize_khinchin_ratio(model, r, args.N, cfg, m=args.M, q=args.Q,
-                                         workers=workers)
+        result = maximize_khinchin_ratio(_MODELS[args.model], args.r, args.N, cfg,
+                                         m=args.M, q=args.Q, workers=workers)
     if args.checkpoint:
         try:
             checkpoint_save(result, args.checkpoint)
@@ -472,6 +445,9 @@ def main(argv=None) -> int:
         return 4
     except CapacityError as exc:
         sys.stderr.write(f"capacity error: {exc}\n")
+        return 4
+    except ValueError as exc:
+        sys.stderr.write(f"invalid input: {exc}\n")
         return 4
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")

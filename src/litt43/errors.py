@@ -9,6 +9,10 @@ class InadmissibleExponentsError(Litt43Error, ValueError):
     """The exponent pair lies outside the admissible set 1/a + 1/b <= 3/2."""
 
 
+class InputParseError(Litt43Error, ValueError):
+    """Unparseable input text, such as an exponent literal (CLI exit code 4)."""
+
+
 class CapacityError(Litt43Error, ValueError):
     """An exact enumeration would exceed its configured cap or budget.
 

@@ -30,7 +30,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional
 
-from .errors import InadmissibleExponentsError
+from .errors import InadmissibleExponentsError, InputParseError
 
 __all__ = [
     "Exponent",
@@ -59,7 +59,9 @@ class Exponent:
     def __post_init__(self):
         v = float(self.value)
         if math.isnan(v) or v < 1.0:
-            raise ValueError(f"exponent must satisfy p >= 1 or p = inf, got {self.value!r}")
+            raise InadmissibleExponentsError(
+                f"exponent must satisfy p >= 1 or p = inf, got {self.value!r} "
+                f"(admissibility needs a, b >= 1 and 1/a + 1/b <= 3/2)")
         object.__setattr__(self, "value", v)
 
     @property
@@ -73,13 +75,19 @@ class Exponent:
 
     @classmethod
     def parse(cls, text: str) -> "Exponent":
-        """Parse ``"inf"``, an integer/decimal literal, or a fraction ``"p/q"``."""
+        """Parse ``"inf"``, an integer/decimal literal, or a fraction ``"p/q"``.
+
+        Raises InputParseError for text that is no number (``"1/0"``
+        included) and InadmissibleExponentsError for p < 1.
+        """
         s = text.strip().lower()
-        if s in ("inf", "infinity", "oo"):
-            return cls(math.inf)
-        if "/" in s:
-            return cls(float(Fraction(s)))
-        return cls(float(s))
+        if s == "oo":
+            s = "inf"
+        try:
+            value = float(Fraction(s)) if "/" in s else float(s)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InputParseError(f"cannot parse exponent {text!r}") from exc
+        return cls(value)
 
     def __str__(self) -> str:
         return "inf" if self.is_inf else repr(self.value)

@@ -9,13 +9,14 @@ with an infinite exponent meaning the supremum at that level.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import SerializationError
-from .exponents import Exponent, ExponentPair
+from .exponents import ExponentPair
 from .jsonio import canonical_dumps, loads, require_field
 
 __all__ = [
@@ -50,7 +51,7 @@ class BilinearForm:
         arr = np.array(self.entries, dtype=dtype)
         if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"entries must be a K x N matrix with K, N >= 1, got shape {arr.shape}")
-        if not np.all(np.isfinite(arr.view(np.float64) if self.field == "complex" else arr)):
+        if not np.all(np.isfinite(arr)):
             raise ValueError("entries must all be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -77,21 +78,18 @@ class MixedNormValue:
         return self.value
 
 
-def _lp_rows(mags: np.ndarray, a: Exponent) -> np.ndarray:
-    """l_a norm of each row of a nonnegative matrix (sup for a = oo)."""
-    if a.is_inf:
-        return mags.max(axis=1)
-    if a.value == 1.0:
-        return mags.sum(axis=1)
-    return np.power(np.power(mags, a.value).sum(axis=1), 1.0 / a.value)
+def _lp(vals: np.ndarray, p):
+    """l_p norms along the last axis of a nonnegative array (sup for p = oo).
 
-
-def _lp_vec(vals: np.ndarray, b: Exponent) -> float:
-    if b.is_inf:
-        return float(vals.max())
-    if b.value == 1.0:
-        return float(vals.sum())
-    return float(np.power(np.power(vals, b.value).sum(), 1.0 / b.value))
+    ``p`` may also be an array of finite exponents that broadcasts against
+    ``vals``, giving one norm per exponent (the grid evaluation uses this).
+    """
+    if isinstance(p, float):
+        if p == math.inf:
+            return vals.max(axis=-1)
+        if p == 1.0:
+            return vals.sum(axis=-1)
+    return np.power(np.power(vals, p).sum(axis=-1, keepdims=True), 1.0 / p)[..., 0]
 
 
 def mixed_norm(A: BilinearForm, pair: ExponentPair) -> MixedNormValue:
@@ -108,8 +106,29 @@ def mixed_norm(A: BilinearForm, pair: ExponentPair) -> MixedNormValue:
     scaled = mags / top
     if scaled.size > _COMPENSATED_SUM_THRESHOLD:
         scaled = scaled.astype(np.longdouble)
-    value = top * float(_lp_vec(_lp_rows(scaled, pair.a), pair.b))
+    value = top * float(_lp(_lp(scaled, pair.a.value), pair.b.value))
     return MixedNormValue(value, pair)
+
+
+def _mixed_norm_grid(A: BilinearForm, inner, outer) -> np.ndarray:
+    """mixed_norm(A, (a, b)).value for each a in ``inner`` (rows), b in ``outer``.
+
+    Exponents are floats in [1, oo].  Vectorized over the outer exponent,
+    so a 20 x 20 grid costs 20 passes over the matrix, not 400.
+    """
+    mags = np.abs(A.entries)
+    top = float(mags.max())
+    outer = np.asarray(outer, dtype=np.float64)
+    out = np.zeros((len(inner), outer.size))
+    if top == 0.0:
+        return out
+    scaled = mags / top
+    finite = np.isfinite(outer)
+    for i, a in enumerate(inner):
+        rows = _lp(scaled, a)
+        out[i, ~finite] = rows.max()
+        out[i, finite] = _lp(rows, outer[finite, None])
+    return top * out
 
 
 def transpose(A: BilinearForm) -> BilinearForm:
@@ -177,6 +196,10 @@ def form_to_json(A: BilinearForm) -> dict:
     return {"field": A.field, "rows": A.rows, "cols": A.cols, "entries": entries}
 
 
+def _plain_number(v) -> bool:
+    return not isinstance(v, bool) and isinstance(v, (int, float))
+
+
 def form_from_json(doc: dict) -> BilinearForm:
     if not isinstance(doc, dict):
         raise SerializationError("matrix document must be a JSON object")
@@ -192,26 +215,18 @@ def form_from_json(doc: dict) -> BilinearForm:
         raise SerializationError(
             f"field 'entries' has {len(entries)} items, expected rows*cols = {rows * cols}"
         )
-    if field == "real":
-        flat = []
-        for i, item in enumerate(entries):
-            if isinstance(item, bool) or not isinstance(item, (int, float)):
-                raise SerializationError(
-                    f"field 'entries'[{i}] must be a plain number in real mode"
-                )
+    flat = []
+    for i, item in enumerate(entries):
+        if field == "real" and _plain_number(item):
             flat.append(float(item))
-        arr = np.array(flat, dtype=np.float64).reshape(rows, cols)
-    else:
-        flat = []
-        for i, item in enumerate(entries):
-            if (not isinstance(item, list) or len(item) != 2
-                    or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in item)):
-                raise SerializationError(
-                    f"field 'entries'[{i}] must be an [re, im] pair in complex mode"
-                )
+        elif (field == "complex" and isinstance(item, list) and len(item) == 2
+              and all(map(_plain_number, item))):
             flat.append(complex(item[0], item[1]))
-        arr = np.array(flat, dtype=np.complex128).reshape(rows, cols)
-    if not np.all(np.isfinite(arr.view(np.float64) if field == "complex" else arr)):
+        else:
+            shape = "a plain number" if field == "real" else "an [re, im] pair"
+            raise SerializationError(f"field 'entries'[{i}] must be {shape} in {field} mode")
+    arr = np.array(flat).reshape(rows, cols)
+    if not np.all(np.isfinite(arr)):
         raise SerializationError("field 'entries' contains non-finite values")
     return BilinearForm(field, arr)
 

@@ -16,13 +16,14 @@ Three averages of |sum_n a_n s_n| are computed for a coefficient vector
   increasing schedule of M.
 
 Every enumeration pins one multiplier (rotation invariance makes this
-exact) and accumulates block sums through ``math.fsum``, so equal input
-multisets produce bit-equal averages.
+exact), runs the pattern walk of ``litt43.opnorm`` and accumulates its
+block sums through ``math.fsum``, so equal input multisets produce
+bit-equal averages.
 
-The sharp comparison constants: the l_r norm of the coefficients never
-exceeds 2^(1/r) times the Rademacher average (attained by (1, 1)), and
-for the T_M average the certified ceiling is (4/pi)^(1/r) / R_M for
-M >= 3; ``blei_bound_check`` probes these ratios.
+The comparison constants live in ``ceiling``: the l_r norm of the
+coefficients never exceeds 2^(1/r) times the Rademacher average
+(attained by (1, 1)), and for the T_M average the certified ceiling is
+(4/pi)^(1/r) / R_M for M >= 3; ``blei_bound_check`` probes these ratios.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import CapacityError, UndefinedRatioError
-from .exponents import Exponent
-from .opnorm import RootsOfUnityGrid, r_m
+from .exponents import TWO_OVER_SQRT_PI, Exponent, _as_exponent
+from .forms import _lp
+from .opnorm import DEFAULT_EVAL_BUDGET, _walk, r_m
 
 __all__ = [
     "CoefficientVector",
@@ -48,16 +50,15 @@ __all__ = [
     "rotation_invariance_check",
     "steinhaus_expectation",
     "blei_bound_check",
+    "ceiling",
     "RADEMACHER_CAP",
     "QUADRATURE_DIM_CAP",
 ]
 
 RADEMACHER_CAP = 30
 QUADRATURE_DIM_CAP = 8
-DEFAULT_TERM_BUDGET = 10**8
 
-_SIGN_BLOCK_BITS = 20
-_ROOT_BLOCK_CAP = 1 << 20
+_TABLE_CAP = 1 << 20  # patterns per tabulated block of the walk
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,7 +75,7 @@ class CoefficientVector:
         arr = np.array(self.values, dtype=dtype).reshape(-1)
         if arr.size < 1:
             raise ValueError("coefficient vector must have N >= 1 entries")
-        if not np.all(np.isfinite(arr.view(np.float64) if self.field == "complex" else arr)):
+        if not np.all(np.isfinite(arr)):
             raise ValueError("coefficients must all be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
@@ -122,39 +123,29 @@ class BleiBoundReport:
 
 def lr_norm(c: Coefficients, r) -> float:
     """(sum |a_n|^r)^(1/r), supremum for r = oo."""
-    r = r if isinstance(r, Exponent) else Exponent(float(r))
+    r = _as_exponent(r)
     mags = np.abs(_values(c))
     top = float(mags.max())
-    if top == 0.0 or r.is_inf:
+    if top == 0.0:
         return top
-    return top * float(np.power(np.power(mags / top, r.value).sum(), 1.0 / r.value))
+    return top * float(_lp(mags / top, r.value))
 
 
-def _mean_abs_signs(a: np.ndarray) -> float:
-    """Exact mean of |sum_n eta_n a_n| over eta in {-1,+1}^N.
+def _mean_abs(a: np.ndarray, m: int, budget: Optional[int] = None) -> float:
+    """Exact mean of |sum_n a_n w_n| over w in Omega_M^N.
 
-    The last sign is pinned to +1 (eta and -eta tie); the remaining bits
-    split into a tabulated low block and a Gray-code walk over high bits.
+    The last multiplier is pinned to 1 (exact by rotation invariance), so
+    the walk sums M^(N-1) terms, which is what ``budget`` counts.
     """
-    n = a.size
-    if n == 1:
-        return float(abs(a[0]))
-    free = a[:-1]
-    low = min(free.size, _SIGN_BLOCK_BITS)
-    table = np.array([a[-1]])
-    for j in range(low):
-        table = np.concatenate([table + free[j], table - free[j]])
-    high_cols = free[low:]
-    high = high_cols.size
-    base = high_cols.sum() if high else 0.0
-    signs = np.ones(high)
-    sums = [float(np.abs(table + base).sum())]
-    for i in range(1, 1 << high):
-        j = (i & -i).bit_length() - 1
-        signs[j] = -signs[j]
-        base += 2.0 * signs[j] * high_cols[j]
-        sums.append(float(np.abs(table + base).sum()))
-    return math.fsum(sums) / float(1 << (n - 1))
+    terms = m ** (a.size - 1)
+    if budget is not None and terms > budget:
+        raise CapacityError(
+            f"Omega_{m}^{a.size} averaging needs {terms} terms (after fixing the "
+            f"global phase) but the budget is {budget}"
+        )
+    sums = _walk(a[-1:], a[None, :-1], m, _TABLE_CAP,
+                 lambda block: float(np.abs(block).sum()))
+    return math.fsum(sums) / terms
 
 
 def rademacher_average(c: Coefficients, cap: int = RADEMACHER_CAP) -> AverageResult:
@@ -165,7 +156,7 @@ def rademacher_average(c: Coefficients, cap: int = RADEMACHER_CAP) -> AverageRes
             f"Rademacher enumeration needs 2^{a.size - 1} patterns but the cap is "
             f"N = {cap}; raise `cap` explicitly to proceed"
         )
-    return AverageResult(value=_mean_abs_signs(a), kind="rademacher",
+    return AverageResult(value=_mean_abs(a, 2), kind="rademacher",
                          method="enumeration", error_bound=0.0)
 
 
@@ -174,74 +165,33 @@ def khinchin_ratio(c: Coefficients, r) -> float:
 
     r must lie in [2, oo]; the ceiling is attained by (1, 1).
     """
-    r = r if isinstance(r, Exponent) else Exponent(float(r))
+    r = _as_exponent(r)
     if not r.is_inf and r.value < 2.0:
         raise ValueError(f"khinchin_ratio requires r >= 2, got {r}")
+    return _ratio(c, r, rademacher_average(c).value)
+
+
+def _ratio(c: Coefficients, r, average: float) -> float:
+    """||c||_r / average, refused for the zero vector."""
     numerator = lr_norm(c, r)
     if numerator == 0.0:
         raise UndefinedRatioError("ratio undefined for the zero vector")
-    return numerator / rademacher_average(c).value
-
-
-def _mean_abs_roots(a: np.ndarray, m: int, budget: int) -> float:
-    """Exact mean of |sum_n a_n e^(i beta_n)| over beta in Omega_M^N.
-
-    The last angle is pinned to 0 (exact by rotation invariance), digits
-    of the remaining coordinates run in mixed-radix order against a
-    precomputed table of unit-root partial sums.
-    """
-    n = a.size
-    if n == 1:
-        return float(abs(a[0]))
-    terms = m ** (n - 1)
-    if terms > budget:
-        raise CapacityError(
-            f"Omega_{m}^{n} averaging needs {terms} terms (after fixing the "
-            f"global phase) but the budget is {budget}"
-        )
-    roots = RootsOfUnityGrid(m).points
-    free = a[:-1].astype(np.complex128)
-    low = 1
-    while low < free.size and m ** (low + 1) <= _ROOT_BLOCK_CAP:
-        low += 1
-    table = np.array([complex(a[-1])])
-    for j in range(low):
-        table = (table[:, None] + free[j] * roots[None, :]).ravel()
-    high = free[low:]
-    sums = []
-    for h in range(m ** high.size):
-        if high.size:
-            idx, digits = h, []
-            for _ in range(high.size):
-                idx, d = divmod(idx, m)
-                digits.append(d)
-            offset = complex(high @ roots[digits])
-        else:
-            offset = 0.0
-        sums.append(float(np.abs(table + offset).sum()))
-    return math.fsum(sums) / float(terms)
+    return numerator / average
 
 
 def e_m_average(c: Coefficients, m: int,
-                budget: int = DEFAULT_TERM_BUDGET) -> AverageResult:
+                budget: int = DEFAULT_EVAL_BUDGET) -> AverageResult:
     """Exact root-of-unity average; M = 2 is the Rademacher enumeration."""
     a = _values(c)
     if m < 2:
         raise ValueError(f"root-of-unity average needs M >= 2, got {m}")
-    if m == 2:
-        if (1 << (a.size - 1)) > budget:
-            raise CapacityError(
-                f"Omega_2^{a.size} averaging needs 2^{a.size - 1} terms, over budget {budget}"
-            )
-        value = _mean_abs_signs(a)
-    else:
-        value = _mean_abs_roots(a, m, budget)
+    value = _mean_abs(a, m, budget)
     return AverageResult(value=value, kind="e_m", method="enumeration",
                          error_bound=0.0, m=int(m))
 
 
 def rotation_invariance_check(c: Coefficients, m: int, shifts: Sequence[float],
-                              budget: int = DEFAULT_TERM_BUDGET) -> bool:
+                              budget: int = DEFAULT_EVAL_BUDGET) -> bool:
     """Whether the T_M average is unchanged by per-coordinate Omega_M rotations.
 
     Shifts must themselves lie on Omega_M (within 1e-12 in angle); the two
@@ -263,7 +213,7 @@ def rotation_invariance_check(c: Coefficients, m: int, shifts: Sequence[float],
 
 def steinhaus_expectation(c: Coefficients, method: str = "quadrature",
                           q: int = 256, schedule: Optional[Sequence[int]] = None,
-                          budget: int = DEFAULT_TERM_BUDGET) -> AverageResult:
+                          budget: int = DEFAULT_EVAL_BUDGET) -> AverageResult:
     """Torus expectation of |sum a_n e^(i t_n)|.
 
     quadrature: product trapezoid rule with q nodes per angle (q even);
@@ -283,8 +233,8 @@ def steinhaus_expectation(c: Coefficients, method: str = "quadrature",
             )
         if q < 4 or q % 2:
             raise ValueError(f"quadrature needs an even node count >= 4, got {q}")
-        coarse = _mean_abs_roots(a, q // 2, budget) if a.size > 1 else float(abs(a[0]))
-        fine = _mean_abs_roots(a, q, budget) if a.size > 1 else float(abs(a[0]))
+        coarse = _mean_abs(a, q // 2, budget)
+        fine = _mean_abs(a, q, budget)
         value = (4.0 * fine - coarse) / 3.0
         return AverageResult(value=value, kind="steinhaus", method="quadrature",
                              error_bound=abs(fine - coarse))
@@ -300,27 +250,47 @@ def steinhaus_expectation(c: Coefficients, method: str = "quadrature",
     raise ValueError(f"unknown method {method!r}; use 'quadrature' or 'e_m_limit'")
 
 
-def blei_bound_check(c: Coefficients, m: int, r,
-                     budget: int = DEFAULT_TERM_BUDGET) -> BleiBoundReport:
-    """Probe the l_r-vs-T_M-average ratio against its certified ceiling.
+def ceiling(model: str, r, m: Optional[int] = None):
+    """(value, provenance) of the ceiling on ||a||_r / average over all vectors a.
 
-    ceiling = 2^(1/r) at M = 2 (the Rademacher case, where it is sharp)
-    and (4/pi)^(1/r) / R_M for M >= 3 (where sharpness is open and the
-    gap to the best known lower bound is the interesting datum).
+    model "rademacher": 2^(1/r), sharp (attained by (1, 1)); "e_m": the
+    same at M = 2, else the certified (4/pi)^(1/r) / R_M, whose sharpness
+    is open; "steinhaus": 2/sqrt(pi) at r = 2 and 1 at r = oo, both sharp,
+    and the certified (4/pi)^(1/r) in between.  r must lie in [2, oo].
     """
-    r = r if isinstance(r, Exponent) else Exponent(float(r))
+    r = _as_exponent(r)
     if not r.is_inf and r.value < 2.0:
-        raise ValueError(f"blei_bound_check requires r >= 2, got {r}")
+        raise ValueError(f"Khinchin ceilings require r >= 2, got {r}")
+    inv_r = r.reciprocal
+    if model == "rademacher":
+        return 2.0 ** inv_r, "sharp Rademacher ceiling 2^(1/r)"
+    if model == "e_m" and m == 2:
+        return 2.0 ** inv_r, "sharp ceiling 2^(1/r) (M = 2 is the Rademacher case)"
+    if model == "e_m":
+        return ((4.0 / math.pi) ** inv_r / r_m(m),
+                "certified ceiling (4/pi)^(1/r) / R_M; sharpness open for M >= 3")
+    if model != "steinhaus":
+        raise ValueError(f"unknown model {model!r}")
+    if r.value == 2.0:
+        return TWO_OVER_SQRT_PI, "sharp Steinhaus ceiling 2/sqrt(pi) at r = 2"
+    if r.is_inf:
+        return 1.0, "sharp Steinhaus ceiling 1 at r = oo"
+    return ((4.0 / math.pi) ** inv_r,
+            "exploratory: certified ceiling (4/pi)^(1/r); sharp value open on (2, oo)")
+
+
+def blei_bound_check(c: Coefficients, m: int, r,
+                     budget: int = DEFAULT_EVAL_BUDGET) -> BleiBoundReport:
+    """Probe the l_r-vs-T_M-average ratio against its certified ``ceiling``.
+
+    The ceiling is sharp at M = 2 (the Rademacher case); for M >= 3
+    sharpness is open and the gap to the best known lower bound is the
+    interesting datum.
+    """
+    r = _as_exponent(r)
+    bound, _ = ceiling("e_m", r, m)
     a = _values(c)
-    numerator = lr_norm(a, r)
-    if numerator == 0.0:
-        raise UndefinedRatioError("ratio undefined for the zero vector")
-    average = e_m_average(a, m, budget=budget).value
-    ratio = numerator / average
-    if m == 2:
-        ceiling = 2.0 ** r.reciprocal
-    else:
-        ceiling = (4.0 / math.pi) ** r.reciprocal / r_m(m)
-    return BleiBoundReport(m=int(m), r=r, ratio=ratio, ceiling=ceiling,
+    ratio = _ratio(a, r, e_m_average(a, m, budget=budget).value)
+    return BleiBoundReport(m=int(m), r=r, ratio=ratio, ceiling=bound,
                            witness=tuple(complex(z) for z in a),
-                           violation=ratio > ceiling + 1e-9)
+                           violation=ratio > bound + 1e-9)

@@ -14,10 +14,11 @@ the k-th row sum.  What remains is
   grid, and the factor R_M = sqrt(1/2 + cos(2*pi/M)/2) certifies the
   two-sided bound  ||A||_M <= ||A|| <= ||A||_M / R_M.
 
-Sign enumeration walks the pattern space in Gray-code order: the low bits
-are tabulated as a matrix block (one BLAS product evaluates a whole
-block), and the remaining high bits advance one sign flip at a time,
-updating the K row accumulators in O(K).
+Both enumerations, and the exact averages in ``litt43.khinchin``, run on
+one walk over Omega_M^(N-1) (``_walk``): the leading free coordinates
+are tabulated as one block of partial sums (one vectorized pass evaluates
+a whole block), and the remaining high digits run in mixed-radix order,
+each shifting the whole block by its offset.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .errors import CapacityError
 from .forms import BilinearForm
 
 __all__ = [
-    "SignPattern",
     "RootsOfUnityGrid",
     "TorusNormBounds",
     "real_sup_norm",
@@ -46,27 +46,13 @@ REAL_ENUM_CAP = 24
 DEFAULT_EVAL_BUDGET = 10**8
 
 # Tabulated block size: 2^14 sign patterns / <= 2^17 root patterns.
-_SIGN_BLOCK_BITS = 14
-_ROOT_BLOCK_CAP = 1 << 17
-
-
-@dataclass(frozen=True)
-class SignPattern:
-    """A vector in {-1, +1}^N, an extreme point of the real argument cube."""
-
-    signs: tuple
-
-    def __post_init__(self):
-        if not self.signs or any(s not in (-1, 1) for s in self.signs):
-            raise ValueError("signs must be a non-empty tuple over {-1, +1}")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.signs, dtype=np.float64)
+_SIGN_TABLE_CAP = 1 << 14
+_ROOT_TABLE_CAP = 1 << 17
 
 
 @dataclass(frozen=True)
 class RootsOfUnityGrid:
-    """The M-th roots of unity exp(2*pi*i*j/M) and their angles 2*pi*j/M."""
+    """The M-th roots of unity exp(2*pi*i*j/M)."""
 
     m: int
 
@@ -77,10 +63,6 @@ class RootsOfUnityGrid:
     @property
     def points(self) -> np.ndarray:
         return np.exp(2j * np.pi * np.arange(self.m) / self.m)
-
-    @property
-    def angles(self) -> np.ndarray:
-        return 2.0 * np.pi * np.arange(self.m) / self.m
 
 
 @dataclass(frozen=True)
@@ -111,18 +93,53 @@ class TorusNormBounds:
         return self.upper - self.lower
 
 
-def _gray_flip_index(i: int) -> int:
-    """Index of the bit that changes between Gray codes i-1 and i."""
-    return (i & -i).bit_length() - 1
+_SIGNS = np.array([1.0, -1.0])  # Omega_2, exactly
 
 
-def _sign_table(cols: np.ndarray) -> np.ndarray:
-    """Row sums cols @ s for every s in {-1,+1}^L, L = cols.shape[1]."""
-    k, L = cols.shape
-    codes = np.arange(1 << L, dtype=np.uint32)
-    bits = (codes[:, None] >> np.arange(L, dtype=np.uint32)[None, :]) & 1
-    signs = 1.0 - 2.0 * bits  # bit 0 -> +1, bit 1 -> -1
-    return cols @ signs.T  # (K, 2^L)
+def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """first + sum_j cols[:, j] * points[d_j] over every digit tuple, as (K, M^L).
+
+    Column t of the result has digits d_j of t in base M, column 0 of
+    ``cols`` least significant: each new column's digit is the most
+    significant one, so every step adds M contiguous copies of the table.
+    """
+    table = first[:, None]
+    for contrib in cols.T[:, :, None] * points:  # (K, M) per column
+        table = (contrib[:, :, None] + table[:, None, :]).reshape(len(first), -1)
+    return table
+
+
+def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce) -> list:
+    """Apply ``reduce`` to every block of the sums first + cols @ w, w in Omega_M^L.
+
+    ``first`` (K,) is the pinned column; the L columns of ``cols`` (K, L)
+    are multiplied by M-th roots of unity (exactly +-1 for M = 2).  The
+    first columns are tabulated as one (K, T) block of at most
+    ``table_cap`` patterns (at least one column); the remaining high
+    digits run in mixed-radix order, each adding its offset to the whole
+    block.  Block h, column t holds pattern g = h * T + t, whose digits
+    are ``np.unravel_index(g, (M,) * L, order="F")`` (column 0 least
+    significant).  Returns the list of reductions, in block order.
+    """
+    points = _SIGNS if m == 2 else RootsOfUnityGrid(m).points
+    low = cols.shape[1]
+    while low > 1 and m ** low > table_cap:
+        low -= 1
+    table = _partial_sums(first, cols[:, :low], points)
+    if low == cols.shape[1]:
+        return [reduce(table)]
+    offsets = _partial_sums(np.zeros(len(first)), cols[:, low:], points)
+    return [reduce(table + offsets[:, h, None]) for h in range(offsets.shape[1])]
+
+
+def _block_max(block: np.ndarray) -> float:
+    return float(np.abs(block).sum(axis=0).max())
+
+
+def _block_argmax(block: np.ndarray):
+    sums = np.abs(block).sum(axis=0)
+    t = int(np.argmax(sums))
+    return float(sums[t]), t
 
 
 def real_sup_norm(A: BilinearForm, cap: int = REAL_ENUM_CAP) -> float:
@@ -139,83 +156,21 @@ def real_sup_norm(A: BilinearForm, cap: int = REAL_ENUM_CAP) -> float:
             f"sign enumeration needs 2^{n - 1} patterns but the cap is N = {cap} "
             f"(2^{cap - 1}); raise `cap` explicitly to proceed"
         )
-    entries = A.entries
-    free = n - 1  # y[0] pinned to +1 (y and -y give equal values)
-    low = min(free, _SIGN_BLOCK_BITS)
-    high = free - low
-    table = _sign_table(entries[:, 1:1 + low])  # (K, 2^low)
-    high_cols = entries[:, 1 + low:]
-    # start at the all-(+1) high pattern, matching Gray code 0
-    base = entries[:, 0] + high_cols.sum(axis=1)
-    best = float(np.abs(base[:, None] + table).sum(axis=0).max())
-    if high == 0:
-        return best
-    signs = np.ones(high)
-    for i in range(1, 1 << high):
-        j = _gray_flip_index(i)
-        signs[j] = -signs[j]
-        base += 2.0 * signs[j] * high_cols[:, j]
-        value = float(np.abs(base[:, None] + table).sum(axis=0).max())
-        if value > best:
-            best = value
-    return best
+    # y[0] pinned to +1 (y and -y give equal values)
+    return max(_walk(A.entries[:, 0], A.entries[:, 1:], 2, _SIGN_TABLE_CAP, _block_max))
 
 
-def _root_table(cols: np.ndarray, first: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """Partial row sums first + sum_j cols[:,j]*roots[d_j] over all digit tuples."""
-    table = first[:, None].astype(np.complex128)
-    for j in range(cols.shape[1]):
-        contrib = cols[:, j][:, None] * roots[None, :]  # (K, M)
-        table = (table[:, :, None] + contrib[:, None, :]).reshape(table.shape[0], -1)
-    return table
-
-
-def _digits_of(index: int, count: int, m: int) -> list:
-    digits = []
-    for _ in range(count):
-        index, d = divmod(index, m)
-        digits.append(d)
-    return digits
-
-
-def _discrete_norm_argmax(A: BilinearForm, m: int, budget: int):
-    """Exact grid norm and one maximizing y in T_M^N (first coordinate 1)."""
+def _grid_walk(A: BilinearForm, m: int, budget: int, reduce) -> list:
+    """The walk over T_M^N with the first coordinate pinned to 1."""
     if m < 3:
         raise ValueError(f"root-of-unity norm needs M >= 3, got {m}")
-    entries = A.entries.astype(np.complex128)
-    k, n = entries.shape
-    evals = m ** (n - 1)
+    evals = m ** (A.cols - 1)
     if evals > budget:
         raise CapacityError(
-            f"T_{m}^{n} enumeration needs {evals} objective evaluations "
+            f"T_{m}^{A.cols} enumeration needs {evals} objective evaluations "
             f"(after fixing the global phase) but the budget is {budget}"
         )
-    roots = RootsOfUnityGrid(m).points
-    # choose the largest low-digit block that stays within the table cap
-    low = 0
-    while low < n - 1 and m ** (low + 1) <= _ROOT_BLOCK_CAP:
-        low += 1
-    table = _root_table(entries[:, 1:1 + low], entries[:, 0], roots)
-    high_cols = entries[:, 1 + low:]
-    high_count = n - 1 - low
-    best = -1.0
-    best_low = 0
-    best_high = 0
-    for h in range(m ** high_count):
-        if high_count:
-            hdig = _digits_of(h, high_count, m)
-            offset = high_cols @ roots[hdig]
-            block = np.abs((table + offset[:, None])).sum(axis=0)
-        else:
-            block = np.abs(table).sum(axis=0)
-        idx = int(np.argmax(block))
-        value = float(block[idx])
-        if value > best:
-            best, best_low, best_high = value, idx, h
-    # the table packs its first column as the most significant digit
-    digits = list(reversed(_digits_of(best_low, low, m))) + _digits_of(best_high, high_count, m)
-    y = np.concatenate(([1.0 + 0.0j], roots[digits])) if digits else np.array([1.0 + 0.0j])
-    return best, y
+    return _walk(A.entries[:, 0], A.entries[:, 1:], m, _ROOT_TABLE_CAP, reduce)
 
 
 def complex_norm_discrete(A: BilinearForm, m: int,
@@ -226,8 +181,7 @@ def complex_norm_discrete(A: BilinearForm, m: int,
     enumeration costs M^(N-1) objective evaluations, which is what the
     budget counts.  Real-tagged forms are accepted and treated as complex.
     """
-    value, _ = _discrete_norm_argmax(A, m, budget)
-    return value
+    return max(_grid_walk(A, m, budget, _block_max))
 
 
 def r_m(m) -> float:
@@ -315,9 +269,15 @@ def complex_norm_bounds(A: BilinearForm, m: int, refine: bool = False,
     unrefined grid norm, whose R_M guarantee is what certification needs.
     """
     factor = r_m(m)
-    discrete, y = _discrete_norm_argmax(A, m, budget)
+    blocks = _grid_walk(A, m, budget, _block_argmax)
+    h = max(range(len(blocks)), key=lambda i: blocks[i][0])  # first maximal block
+    discrete, t = blocks[h]
     lower = discrete
     if refine and discrete > 0.0:
+        free = A.cols - 1
+        digits = np.unravel_index(h * (m ** free // len(blocks)) + t, (m,) * free,
+                                  order="F")
+        y = np.concatenate(([1.0 + 0.0j], RootsOfUnityGrid(m).points[list(digits)]))
         lower = max(lower, _coordinate_phase_ascent(A.entries.astype(np.complex128), y))
     upper = discrete / factor
     # feasible ascent cannot mathematically exceed ||A|| <= upper; guard

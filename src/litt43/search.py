@@ -39,13 +39,13 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import SerializationError
-from .exponents import (Exponent, ExponentPair, TWO_OVER_SQRT_PI,
+from .exponents import (Exponent, ExponentPair, _as_exponent,
                         complex_constant_bounds, real_constant)
 from .forms import BilinearForm, form_from_json, form_to_json, mixed_norm
 from .jsonio import canonical_dumps, loads, require_field
-from .khinchin import (CoefficientVector, e_m_average, lr_norm,
+from .khinchin import (CoefficientVector, ceiling, e_m_average, lr_norm,
                        rademacher_average, steinhaus_expectation)
-from .opnorm import complex_norm_bounds, r_m, real_sup_norm
+from .opnorm import DEFAULT_EVAL_BUDGET, complex_norm_bounds, r_m, real_sup_norm
 
 __all__ = [
     "SearchConfig",
@@ -111,8 +111,10 @@ def _exp_to_json(e: Exponent):
     return "inf" if e.is_inf else e.value
 
 
-def _exp_from_json(v) -> Exponent:
-    return Exponent.parse(v) if isinstance(v, str) else Exponent(float(v))
+def _gaussian(rng: np.random.Generator, shape, field: str) -> np.ndarray:
+    """Standard normal draw; independent real and imaginary parts if complex."""
+    x = rng.standard_normal(shape)
+    return x + 1j * rng.standard_normal(shape) if field == "complex" else x
 
 
 class _FormObjective:
@@ -120,22 +122,15 @@ class _FormObjective:
 
     def __init__(self, params: dict):
         self.field = params["field"]
-        self.pair = ExponentPair(_exp_from_json(params["a"]), _exp_from_json(params["b"]))
+        self.pair = ExponentPair.of(params["a"], params["b"])
         self.m = int(params.get("m") or 0)
-        self.norm_budget = int(params.get("norm_budget", 10**8))
+        self.norm_budget = int(params.get("norm_budget", DEFAULT_EVAL_BUDGET))
 
-    def draw(self, rng: np.random.Generator, dims):
-        k, n = dims
-        x = rng.standard_normal((k, n))
-        if self.field == "complex":
-            x = x + 1j * rng.standard_normal((k, n))
-        return x
+    def draw(self, rng, dims):
+        return _gaussian(rng, dims, self.field)
 
     def perturb(self, rng, x, scale):
-        d = rng.standard_normal(x.shape)
-        if self.field == "complex":
-            d = d + 1j * rng.standard_normal(x.shape)
-        return x + scale * d
+        return x + scale * _gaussian(rng, x.shape, self.field)
 
     def normalize(self, x):
         return x
@@ -182,26 +177,20 @@ class _KhinchinObjective:
 
     def __init__(self, params: dict):
         self.model = params["model"]
-        self.r = _exp_from_json(params["r"])
+        self.r = _as_exponent(params["r"])
         self.n = int(params["n"])
         self.m = int(params.get("m") or 0)
         self.q = int(params.get("q") or 0)
-        self.budget = int(params.get("term_budget", 10**8))
+        self.budget = int(params.get("term_budget", DEFAULT_EVAL_BUDGET))
         if self.model not in ("rademacher", "e_m", "steinhaus"):
             raise ValueError(f"unknown model {self.model!r}")
         self.field = "real" if self.model == "rademacher" else "complex"
 
     def draw(self, rng, dims):
-        x = rng.standard_normal(self.n)
-        if self.field == "complex":
-            x = x + 1j * rng.standard_normal(self.n)
-        return x
+        return _gaussian(rng, self.n, self.field)
 
     def perturb(self, rng, x, scale):
-        d = rng.standard_normal(self.n)
-        if self.field == "complex":
-            d = d + 1j * rng.standard_normal(self.n)
-        return x + scale * d
+        return x + scale * _gaussian(rng, x.shape, self.field)
 
     def normalize(self, x):
         norm = lr_norm(x, self.r)
@@ -231,20 +220,7 @@ class _KhinchinObjective:
         return CoefficientVector(self.field, x)
 
     def ceiling(self):
-        inv_r = self.r.reciprocal
-        if self.model == "rademacher":
-            return 2.0 ** inv_r, "sharp Rademacher ceiling 2^(1/r)"
-        if self.model == "e_m":
-            if self.m == 2:
-                return 2.0 ** inv_r, "sharp ceiling 2^(1/r) (M = 2 is the Rademacher case)"
-            return ((4.0 / math.pi) ** inv_r / r_m(self.m),
-                    "certified ceiling (4/pi)^(1/r) / R_M; sharpness open for M >= 3")
-        if self.r.value == 2.0:
-            return TWO_OVER_SQRT_PI, "sharp Steinhaus ceiling 2/sqrt(pi) at r = 2"
-        if self.r.is_inf:
-            return 1.0, "sharp Steinhaus ceiling 1 at r = oo"
-        return ((4.0 / math.pi) ** inv_r,
-                "exploratory: certified ceiling (4/pi)^(1/r); sharp value open on (2, oo)")
+        return ceiling(self.model, self.r, self.m)
 
 
 def _make_objective(kind: str, params: dict):
@@ -368,7 +344,7 @@ def maximize_khinchin_ratio(model: str, r, n: int, cfg: SearchConfig,
     "steinhaus" (complex, quadrature with ``q`` nodes per angle).
     Vectors are renormalized to unit l_r between steps.
     """
-    r = r if isinstance(r, Exponent) else Exponent(float(r))
+    r = _as_exponent(r)
     params = {"model": model, "r": _exp_to_json(r), "n": int(n)}
     if model == "e_m":
         if not m:

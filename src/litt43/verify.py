@@ -21,10 +21,11 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from . import __version__
-from .exponents import ExponentPair, TWO_OVER_SQRT_PI, classify_region, conjugate
-from .forms import BilinearForm, form_from_json, form_to_json, mixed_norm, random_form, transpose, witness_a0
+from .exponents import ExponentPair, classify_region, conjugate
+from .forms import (BilinearForm, _mixed_norm_grid, form_from_json, form_to_json,
+                    mixed_norm, random_form, transpose, witness_a0)
 from .jsonio import canonical_dumps
-from .khinchin import (blei_bound_check, e_m_average, khinchin_ratio, lr_norm,
+from .khinchin import (blei_bound_check, ceiling, e_m_average, khinchin_ratio, lr_norm,
                        rademacher_average, steinhaus_expectation)
 from .opnorm import complex_norm_bounds, complex_norm_discrete, r_m, real_sup_norm
 from .search import (SearchConfig, checkpoint_load, checkpoint_save,
@@ -43,39 +44,10 @@ class CheckResult:
     details: dict
 
 
-def _inverse_grid(points: int) -> np.ndarray:
-    """Evenly spaced reciprocal exponents on [0, 1] (0 encodes oo)."""
-    return np.arange(points, dtype=np.float64) / (points - 1)
-
-
-def _row_lp(scaled: np.ndarray, inv_p: float) -> np.ndarray:
-    if inv_p == 0.0:
-        return scaled.max(axis=1)
-    p = 1.0 / inv_p
-    return np.power(np.power(scaled, p).sum(axis=1), inv_p)
-
-
-def _grid_mixed_norms(entries: np.ndarray, inv_as: np.ndarray,
-                      inv_bs: np.ndarray) -> np.ndarray:
-    """Mixed norms over a reciprocal-exponent grid; matches forms.mixed_norm.
-
-    Vectorized over the outer exponent so a 20 x 20 grid costs 20 passes
-    over the matrix, not 400.
-    """
-    mags = np.abs(entries)
-    top = float(mags.max())
-    out = np.zeros((len(inv_as), len(inv_bs)))
-    if top == 0.0:
-        return out
-    scaled = mags / top
-    inv_bs = np.asarray(inv_bs, dtype=np.float64)
-    finite = inv_bs > 0.0
-    b = 1.0 / inv_bs[finite]
-    for i, ia in enumerate(inv_as):
-        rows = _row_lp(scaled, float(ia))
-        out[i, ~finite] = rows.max()
-        out[i, finite] = np.power(np.power(rows[None, :], b[:, None]).sum(axis=1), 1.0 / b)
-    return top * out
+def _inverse_grid(points: int):
+    """Evenly spaced reciprocal exponents on [0, 1], and the exponents (0 is oo)."""
+    invs = np.arange(points, dtype=np.float64) / (points - 1)
+    return invs, [math.inf if inv == 0.0 else 1.0 / inv for inv in invs]
 
 
 # ---------------------------------------------------------------------------
@@ -88,8 +60,8 @@ def check_witness_sharpness(seed: int, grid: int = 20,
     tol = 1e-12
     a0 = witness_a0("real")
     norm = real_sup_norm(a0)
-    invs = _inverse_grid(grid)
-    norms = _grid_mixed_norms(a0.entries, invs, invs)
+    invs, ps = _inverse_grid(grid)
+    norms = _mixed_norm_grid(a0, ps, ps)
     worst = 0.0
     count = 0
     regions = set()
@@ -98,8 +70,7 @@ def check_witness_sharpness(seed: int, grid: int = 20,
             if ia + ib > 1.5:
                 continue
             count += 1
-            pair = ExponentPair.of(math.inf if ia == 0 else 1.0 / ia,
-                                   math.inf if ib == 0 else 1.0 / ib)
+            pair = ExponentPair.of(ps[i], ps[j])
             regions.add(classify_region(pair).value)
             target = 2.0 ** (ia + ib - 1.0) * ceiling_scale
             worst = max(worst, abs(norms[i, j] / norm - target) / target)
@@ -120,7 +91,7 @@ def check_real_upper_bound(seed: int, forms_per_shape: int = 1000,
                            ceiling_scale: float = 1.0) -> CheckResult:
     """No random form beats the ceiling 2^max(0, 1/a+1/b-1) anywhere on the grid."""
     slack = 1e-9
-    invs = _inverse_grid(grid)
+    invs, ps = _inverse_grid(grid)
     admissible = (invs[:, None] + invs[None, :]) <= 1.5
     ceilings = np.power(2.0, np.maximum(0.0, invs[:, None] + invs[None, :] - 1.0))
     ceilings = ceilings * ceiling_scale
@@ -133,7 +104,7 @@ def check_real_upper_bound(seed: int, forms_per_shape: int = 1000,
                 form = random_form("real", n, n, dist, seed=seed + rng_index)
                 rng_index += 1
                 norm = real_sup_norm(form)
-                ratios = _grid_mixed_norms(form.entries, invs, invs) / norm
+                ratios = _mixed_norm_grid(form, ps, ps) / norm
                 margin = float((ceilings + slack - ratios)[admissible].min())
                 min_margin = min(min_margin, margin)
                 checked += 1
@@ -216,11 +187,10 @@ def check_khinchin_sharpness(seed: int, samples: int = 10000, max_n: int = 16,
     """l_r vs Rademacher-average ratios: (1,1) attains 2^(1/r); nothing beats it."""
     exact_tol = 1e-12
     r_values = [2.0, 2.5, 3.0, 4.0, math.inf]
-    inv_r = [0.5, 0.4, 1.0 / 3.0, 0.25, 0.0]
+    ceilings = [ceiling("rademacher", r)[0] for r in r_values]
     worst_exact = 0.0
-    for r, ir in zip(r_values, inv_r):
-        worst_exact = max(worst_exact,
-                          abs(khinchin_ratio([1.0, 1.0], r) - 2.0 ** ir))
+    for r, top in zip(r_values, ceilings):
+        worst_exact = max(worst_exact, abs(khinchin_ratio([1.0, 1.0], r) - top))
     rng = np.random.default_rng(seed)
     min_margin = math.inf
     for t in range(samples):
@@ -235,16 +205,16 @@ def check_khinchin_sharpness(seed: int, samples: int = 10000, max_n: int = 16,
         if not np.any(c):
             c[0] = 1.0
         denom = rademacher_average(c).value
-        for r, ir in zip(r_values, inv_r):
+        for r, top in zip(r_values, ceilings):
             ratio = lr_norm(c, r) / denom
-            min_margin = min(min_margin, (2.0 ** ir) * ceiling_scale + exact_tol - ratio)
+            min_margin = min(min_margin, top * ceiling_scale + exact_tol - ratio)
     searched = maximize_khinchin_ratio(
         "rademacher", 2.0, 8,
         SearchConfig(restarts=search_restarts, steps=search_steps, scale=0.5,
                      seed=seed, dims=(1, 8)))
     min_margin = min(min_margin,
-                     _SQRT2 * ceiling_scale + exact_tol - searched.best_ratio)
-    attain_margin = searched.best_ratio - (_SQRT2 * ceiling_scale - 1e-9)
+                     ceilings[0] * ceiling_scale + exact_tol - searched.best_ratio)
+    attain_margin = searched.best_ratio - (ceilings[0] * ceiling_scale - 1e-9)
     margin = min(exact_tol - worst_exact, min_margin, attain_margin)
     return CheckResult(
         name="khinchin_sharpness", passed=margin >= 0.0, margin=margin,
@@ -321,22 +291,20 @@ def check_blei_khinchine(seed: int, vectors: int = 300, max_n: int = 6,
     min_margin = math.inf
     rng = np.random.default_rng(seed)
     for m in m_values:
-        ceiling = {r: (2.0 ** (0.0 if math.isinf(r) else 1.0 / r) if m == 2 else
-                       (4.0 / math.pi) ** (0.0 if math.isinf(r) else 1.0 / r) / r_m(m))
-                   for r in r_values}
+        ceilings = {r: ceiling("e_m", r, m)[0] for r in r_values}
         for t in range(vectors):
             n = int(rng.integers(2, max_n + 1))
             c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             denom = e_m_average(c, m).value
             for r in r_values:
                 ratio = lr_norm(c, r) / denom
-                min_margin = min(min_margin, ceiling[r] * ceiling_scale + slack - ratio)
+                min_margin = min(min_margin, ceilings[r] * ceiling_scale + slack - ratio)
         searched = maximize_khinchin_ratio(
             "e_m", 2.0, 4 if m >= 8 else max_n,
             SearchConfig(restarts=search_restarts, steps=search_steps,
                          scale=0.5, seed=seed + m, dims=(1, max_n)), m=m)
         min_margin = min(min_margin,
-                         ceiling[2.0] * ceiling_scale + slack - searched.best_ratio)
+                         ceilings[2.0] * ceiling_scale + slack - searched.best_ratio)
     attained = blei_bound_check([1.0, 1.0], 2, 2.0)
     attain_err = abs(attained.ratio - _SQRT2)
     margin = min(min_margin, 1e-12 - attain_err)
@@ -351,9 +319,11 @@ def check_steinhaus_sharp_point(seed: int, max_n: int = 6,
                                 ceiling_scale: float = 1.0) -> CheckResult:
     """Searched Steinhaus ratios at r = 2 approach, and never beat, 2/sqrt(pi)."""
     tol = 1e-6
-    ceiling = TWO_OVER_SQRT_PI * ceiling_scale
+    top = ceiling("steinhaus", 2.0)[0] * ceiling_scale
     floor = math.pi * _SQRT2 / 4.0
-    final_q = {2: 512, 3: 512, 4: 256, 5: 64, 6: 36}
+    # Near equal moduli the N = 2 integrand's kink leaves a Richardson error
+    # of about 1.1e-6 at Q = 512, above ``tol``; Q = 8192 costs ~12k terms.
+    final_q = {2: 8192, 3: 512, 4: 256, 5: 64, 6: 36}
     best_final = 0.0
     min_margin = math.inf
     per_dim = {}
@@ -369,8 +339,8 @@ def check_steinhaus_sharp_point(seed: int, max_n: int = 6,
                                            q=final_q[n]).value)
         per_dim[str(n)] = refined
         best_final = max(best_final, refined)
-        min_margin = min(min_margin, ceiling + tol - refined)
-        min_margin = min(min_margin, ceiling + tol - result.best_ratio)
+        min_margin = min(min_margin, top + tol - refined)
+        min_margin = min(min_margin, top + tol - result.best_ratio)
     # exploratory probe at r = 3: ceiling-safety only, no sharp target exists
     exploratory = maximize_khinchin_ratio(
         "steinhaus", 3.0, 3,

@@ -210,6 +210,33 @@ class TestKhinchinCommand:
         code, _, _ = run(capsys, "khinchin", "--coeffs", "1,1", "--model", "em")
         assert code == 4
 
+    def test_steinhaus_reports_ratio_and_ceiling(self, capsys):
+        code, out, _ = run(capsys, "khinchin", "--coeffs", "1,1", "--model", "steinhaus",
+                           "--Q", "256", "--r", "2")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["ratio"] == pytest.approx(SQRT2 * math.pi / 4.0, rel=1e-8)
+        assert doc["ceiling"] == 2.0 / math.sqrt(math.pi)
+        assert doc["violation"] is False
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("argv", [
+        ("norm", "--M", "2"),
+        ("search", "--restarts", "0"),
+        ("khinchin", "--coeffs", "1,1", "--model", "steinhaus", "--Q", "7"),
+        ("khinchin", "--coeffs", "1,1", "--model", "steinhaus", "--method", "em-limit",
+         "--schedule", "4,x"),
+    ])
+    def test_exit_four_without_traceback(self, capsys, tmp_path, argv):
+        if argv[0] == "norm":
+            path = tmp_path / "a0c.json"
+            save_form(witness_a0("complex"), path)
+            argv += ("--input", str(path))
+        code, _, err = run(capsys, *argv)
+        assert code == 4
+        assert "Traceback" not in err and err.startswith("invalid input:")
+
 
 class TestSearchCommand:
     def test_form_search_with_checkpoint(self, capsys, tmp_path):

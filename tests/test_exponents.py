@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from litt43.errors import InadmissibleExponentsError
+from litt43.errors import InadmissibleExponentsError, InputParseError
 from litt43.exponents import (INFINITY, Exponent, ExponentPair, RegionLabel,
                               admissible, classify_region,
                               complex_constant_bounds, conjugate, real_constant)
@@ -34,6 +34,14 @@ class TestExponent:
     ])
     def test_parse(self, text, value):
         assert Exponent.parse(text).value == value
+
+    @pytest.mark.parametrize("text,error", [
+        ("abc", InputParseError), ("1/0", InputParseError), ("", InputParseError),
+        ("0.5", InadmissibleExponentsError), ("-inf", InadmissibleExponentsError),
+    ])
+    def test_parse_errors_are_typed(self, text, error):
+        with pytest.raises(error):
+            Exponent.parse(text)
 
 
 class TestConjugate:

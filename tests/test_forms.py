@@ -5,8 +5,8 @@ import pytest
 
 from litt43.errors import SerializationError
 from litt43.exponents import ExponentPair, conjugate
-from litt43.forms import (BilinearForm, form_from_json, form_to_json, load_form,
-                          mixed_norm, random_form, save_form, transpose,
+from litt43.forms import (BilinearForm, _mixed_norm_grid, form_from_json, form_to_json,
+                          load_form, mixed_norm, random_form, save_form, transpose,
                           witness_a0)
 
 
@@ -138,6 +138,26 @@ class TestMixedNorm:
                     assert lhs <= m_a1 ** theta1 * m_astar ** (1 - theta1) + 1e-9
 
 
+class TestGridHelper:
+    def test_matches_public_mixed_norm(self):
+        # the vectorized grid evaluator must agree with the reference op
+        rng = np.random.default_rng(2)
+        invs = np.arange(7) / 6.0
+        ps = [math.inf if inv == 0 else 1 / inv for inv in invs]
+        for _ in range(6):
+            form = BilinearForm("real", rng.standard_normal((4, 5)))
+            grid = _mixed_norm_grid(form, ps, ps)
+            for i, a in enumerate(ps):
+                for j, b in enumerate(ps):
+                    assert grid[i, j] == pytest.approx(
+                        mixed_norm(form, pair(a, b)).value, rel=1e-12)
+
+    def test_zero_matrix(self):
+        ps = [math.inf, 2.0, 1.0]
+        form = BilinearForm("real", np.zeros((2, 2)))
+        assert np.all(_mixed_norm_grid(form, ps, ps) == 0.0)
+
+
 class TestTranspose:
     def test_witness_is_symmetric(self):
         assert np.array_equal(transpose(witness_a0()).entries, witness_a0().entries)
@@ -151,6 +171,19 @@ class TestTranspose:
         entries = rng.standard_normal((5, 7))
         form = BilinearForm("real", entries)
         assert np.array_equal(transpose(transpose(form)).entries, entries)
+
+    def test_complex_roundtrip(self):
+        rng = np.random.default_rng(29)
+        entries = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        form = BilinearForm("complex", entries)
+        assert np.array_equal(transpose(form).entries, entries.T)
+        assert np.array_equal(transpose(transpose(form)).entries, entries)
+
+    def test_fortran_ordered_complex_input(self):
+        entries = np.asfortranarray([[1 + 2j, 3.0], [0.5j, -1.0]])
+        assert np.array_equal(BilinearForm("complex", entries).entries, entries)
+        with pytest.raises(ValueError):
+            BilinearForm("complex", np.asfortranarray([[1.0, complex(0, np.inf)]]))
 
 
 class TestWitness:

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from litt43 import khinchin
 from litt43.errors import CapacityError, UndefinedRatioError
-from litt43.khinchin import (CoefficientVector, blei_bound_check, e_m_average,
+from litt43.khinchin import (CoefficientVector, blei_bound_check, ceiling, e_m_average,
                              khinchin_ratio, lr_norm, rademacher_average,
                              rotation_invariance_check, steinhaus_expectation)
 from litt43.opnorm import r_m
@@ -71,8 +72,8 @@ class TestRademacherAverage:
             rademacher_average(np.ones(31))
 
     def test_gray_walk_over_high_bits_n23(self):
-        # N - 1 > 20 exercises the tabulated-low / Gray-high split; padding
-        # with zeros keeps the exact value analytic
+        # N - 1 > 20 exercises the tabulated-block / high-digit split;
+        # padding with zeros keeps the exact value analytic
         c = np.zeros(23)
         c[-2], c[-1] = 3.0, 4.0  # nonzero columns land in the high group
         assert rademacher_average(c).value == 4.0
@@ -148,6 +149,21 @@ class TestEmAverage:
             assert e_m_average(3.5 * c, m).value == pytest.approx(3.5 * base, rel=1e-12)
         assert rademacher_average(2.0 * c.real).value == pytest.approx(
             2.0 * rademacher_average(c.real).value, rel=1e-12)
+
+
+class TestHighDigitPath:
+    """Averages with a table cap small enough to leave high digits."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_matches_naive_oracle(self, m, monkeypatch):
+        monkeypatch.setattr(khinchin, "_TABLE_CAP", m)
+        rng = np.random.default_rng(70 + m)
+        for n in (2, 4, 5):
+            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert e_m_average(c, m).value == pytest.approx(naive_e_m(c, m), rel=1e-12)
+            if m == 2:
+                assert rademacher_average(c.real).value == pytest.approx(
+                    naive_rademacher(c.real), rel=1e-12)
 
 
 class TestRotationInvariance:
@@ -242,6 +258,23 @@ class TestSteinhausExpectation:
                 if nxt > prev:
                     print(f"non-monotone convergence step for {c}: {prev} -> {nxt}")
             assert gaps[-1] <= 1e-3  # the limit itself must be approached
+
+
+class TestCeiling:
+    def test_formulas(self):
+        assert ceiling("rademacher", 2)[0] == SQRT2
+        assert ceiling("e_m", 3.0, 2)[0] == 2.0 ** (1 / 3)
+        assert ceiling("e_m", 2, 8)[0] == FOUR_OVER_PI ** 0.5 / r_m(8)
+        assert ceiling("steinhaus", 2)[0] == 2.0 / math.sqrt(math.pi)
+        assert ceiling("steinhaus", math.inf)[0] == 1.0
+        value, provenance = ceiling("steinhaus", 4)
+        assert value == FOUR_OVER_PI ** 0.25 and provenance.startswith("exploratory")
+
+    def test_rejects_r_below_two_and_unknown_model(self):
+        with pytest.raises(ValueError):
+            ceiling("steinhaus", 1.5)
+        with pytest.raises(ValueError):
+            ceiling("gaussian", 2)
 
 
 class TestBleiBound:

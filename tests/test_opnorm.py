@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
+from litt43 import opnorm
 from litt43.errors import CapacityError
 from litt43.exponents import ExponentPair, conjugate
 from litt43.forms import BilinearForm, mixed_norm, random_form, witness_a0
-from litt43.opnorm import (RootsOfUnityGrid, SignPattern, complex_norm_bounds,
+from litt43.opnorm import (RootsOfUnityGrid, complex_norm_bounds,
                            complex_norm_discrete, r_m, real_sup_norm)
 
 SQRT2 = math.sqrt(2.0)
@@ -45,12 +46,78 @@ class TestGridTypes:
         with pytest.raises(ValueError):
             RootsOfUnityGrid(1)
 
-    def test_sign_pattern_validation(self):
-        SignPattern((1, -1, 1))
-        with pytest.raises(ValueError):
-            SignPattern((1, 0))
-        with pytest.raises(ValueError):
-            SignPattern(())
+
+def _points(m):
+    return np.array([1.0, -1.0]) if m == 2 else RootsOfUnityGrid(m).points
+
+
+class TestWalkHighDigits:
+    """The pattern walk with a table cap small enough to leave high digits.
+
+    A cap of M^2 tabulates two of the four free columns, so two high digits
+    run over M^2 blocks; every pattern is also evaluated on its own.
+    """
+
+    @staticmethod
+    def _case(m, k):
+        rng = np.random.default_rng(10 * m + k)
+        first = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        cols = rng.standard_normal((k, 4)) + 1j * rng.standard_normal((k, 4))
+        # digit tuples in pattern order: column 0 least significant
+        values = [float(np.abs(first + cols @ _points(m)[list(d[::-1])]).sum())
+                  for d in itertools.product(range(m), repeat=4)]
+        return first, cols, values
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_max_reducer(self, m, k):
+        first, cols, values = self._case(m, k)
+        blocks = opnorm._walk(first, cols, m, m ** 2, opnorm._block_max)
+        assert len(blocks) == m ** 2
+        assert max(blocks) == pytest.approx(max(values), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_mean_reducer(self, m, k):
+        first, cols, values = self._case(m, k)
+        sums = opnorm._walk(first, cols, m, m ** 2, lambda block: float(np.abs(block).sum()))
+        assert math.fsum(sums) / m ** 4 == pytest.approx(math.fsum(values) / m ** 4,
+                                                         rel=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_argmax_reducer_indexes_patterns(self, m, k):
+        first, cols, values = self._case(m, k)
+        blocks = opnorm._walk(first, cols, m, m ** 2, opnorm._block_argmax)
+        for h, (value, t) in enumerate(blocks):
+            assert value == pytest.approx(values[h * m ** 2 + t], rel=1e-12)
+            digits = np.unravel_index(h * m ** 2 + t, (m,) * 4, order="F")
+            direct = np.abs(first + cols @ _points(m)[list(digits)]).sum()
+            assert value == pytest.approx(float(direct), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_real_norm_matches_naive_oracle(self, k, monkeypatch):
+        monkeypatch.setattr(opnorm, "_SIGN_TABLE_CAP", 2)
+        rng = np.random.default_rng(40 + k)
+        for _ in range(5):
+            entries = rng.standard_normal((k, 5))
+            assert real_sup_norm(BilinearForm("real", entries)) == pytest.approx(
+                naive_real_norm(entries), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [3, 4])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_complex_norm_matches_naive_oracle(self, m, k, monkeypatch):
+        rng = np.random.default_rng(50 + 10 * m + k)
+        entries = rng.standard_normal((k, 4)) + 1j * rng.standard_normal((k, 4))
+        form = BilinearForm("complex", entries)
+        whole = complex_norm_bounds(form, m, refine=True)
+        monkeypatch.setattr(opnorm, "_ROOT_TABLE_CAP", m)
+        assert complex_norm_discrete(form, m) == pytest.approx(
+            naive_complex_grid_norm(entries, m), rel=1e-12)
+        # the refinement starts from the same maximizing pattern either way
+        split = complex_norm_bounds(form, m, refine=True)
+        assert split.discrete_norm == pytest.approx(whole.discrete_norm, rel=1e-12)
+        assert split.lower == pytest.approx(whole.lower, rel=1e-12)
 
 
 class TestRealSupNorm:
@@ -93,7 +160,7 @@ class TestRealSupNorm:
             float(naive), rel=1e-12)
 
     def test_gray_walk_over_high_bits_n17(self):
-        # N - 1 > 14 exercises the tabulated-low / Gray-high split
+        # N - 1 > 14 exercises the tabulated-block / high-digit split
         rng = np.random.default_rng(6)
         entries = rng.standard_normal((2, 17))
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=16)))

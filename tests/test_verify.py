@@ -1,33 +1,7 @@
-import math
-
-import numpy as np
 import pytest
 
-from litt43.exponents import ExponentPair
-from litt43.forms import BilinearForm, mixed_norm
-from litt43.verify import (FAST_PRESET, FULL_PRESET, CHECK_NAMES,
-                           _grid_mixed_norms, report_to_json, run_suite)
-
-
-class TestGridHelper:
-    def test_matches_public_mixed_norm(self):
-        # the vectorized grid evaluator must agree with the reference op
-        rng = np.random.default_rng(2)
-        invs = np.arange(7) / 6.0
-        for _ in range(6):
-            entries = rng.standard_normal((4, 5))
-            grid = _grid_mixed_norms(entries, invs, invs)
-            form = BilinearForm("real", entries)
-            for i, ia in enumerate(invs):
-                for j, ib in enumerate(invs):
-                    pair = ExponentPair.of(math.inf if ia == 0 else 1 / ia,
-                                           math.inf if ib == 0 else 1 / ib)
-                    assert grid[i, j] == pytest.approx(
-                        mixed_norm(form, pair).value, rel=1e-12)
-
-    def test_zero_matrix(self):
-        invs = np.arange(3) / 2.0
-        assert np.all(_grid_mixed_norms(np.zeros((2, 2)), invs, invs) == 0.0)
+from litt43.verify import (FAST_PRESET, FULL_PRESET, CHECK_NAMES, report_to_json,
+                           run_suite)
 
 
 class TestSuitePlumbing:
@@ -54,3 +28,13 @@ class TestSuitePlumbing:
         assert text == report_to_json(run_suite("fast", seed=3,
                                                  only=["witness_sharpness"]))
         assert text.endswith("\n")
+
+
+class TestSteinhausSharpPoint:
+    def test_passes_at_fast_seed_4(self):
+        # at Q = 512 the N = 2 witness ratio carried a quadrature error of
+        # about 1.1e-6 near equal moduli and failed the 1e-6 tolerance here
+        report = run_suite("fast", seed=4, only=["steinhaus_sharp_point"])
+        check = report["checks"][0]
+        assert check["passed"], check
+        assert check["details"]["per_dim"]["2"] == pytest.approx(1.1107206819, abs=1e-8)
