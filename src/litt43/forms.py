@@ -32,8 +32,8 @@ __all__ = [
     "load_form",
 ]
 
-# Above this entry count, power sums accumulate in extended precision
-# (x87 long double on the platforms we target).
+# Above this entry count, mixed_norm takes every power sum with math.fsum
+# (exactly rounded, so independent of summation order and platform).
 _COMPENSATED_SUM_THRESHOLD = 10_000
 
 
@@ -92,6 +92,13 @@ def _lp(vals: np.ndarray, p):
     return np.power(np.power(vals, p).sum(axis=-1, keepdims=True), 1.0 / p)[..., 0]
 
 
+def _lp_fsum(vals: np.ndarray, p: float):
+    """_lp(vals, p) for one exponent, each sum exactly rounded by math.fsum."""
+    if p == math.inf:
+        return vals.max(axis=-1)
+    return np.power(np.apply_along_axis(math.fsum, -1, np.power(vals, p)), 1.0 / p)
+
+
 def mixed_norm(A: BilinearForm, pair: ExponentPair) -> MixedNormValue:
     """(sum_k (sum_j |A_kj|^a)^(b/a))^(1/b), with sup at any infinite level.
 
@@ -104,9 +111,8 @@ def mixed_norm(A: BilinearForm, pair: ExponentPair) -> MixedNormValue:
     if top == 0.0:
         return MixedNormValue(0.0, pair)
     scaled = mags / top
-    if scaled.size > _COMPENSATED_SUM_THRESHOLD:
-        scaled = scaled.astype(np.longdouble)
-    value = top * float(_lp(_lp(scaled, pair.a.value), pair.b.value))
+    lp = _lp if scaled.size <= _COMPENSATED_SUM_THRESHOLD else _lp_fsum
+    value = top * float(lp(lp(scaled, pair.a.value), pair.b.value))
     return MixedNormValue(value, pair)
 
 

@@ -7,8 +7,9 @@ sum_k |sum_j A_kj y_j|, taking x_k to be the sign (or conjugate phase) of
 the k-th row sum.  What remains is
 
 * real case: a convex objective in y, so the maximum is attained at a
-  vertex of the cube.  ``real_sup_norm`` enumerates all 2^(N-1) sign
-  vectors (y and -y tie, so the first sign is pinned to +1) and is exact.
+  vertex of the cube.  ``real_sup_norm`` enumerates the 2^(min(K,N)-1)
+  sign vectors of the smaller side (||A|| = ||A^T||; y and -y tie, so the
+  first sign is pinned to +1) and is exact.
 * complex case: the continuum of phases is discretized to the M-th roots
   of unity.  ``complex_norm_discrete`` is the exact maximum over that
   grid, and the factor R_M = sqrt(1/2 + cos(2*pi/M)/2) certifies the
@@ -143,21 +144,23 @@ def _block_argmax(block: np.ndarray):
 
 
 def real_sup_norm(A: BilinearForm, cap: int = REAL_ENUM_CAP) -> float:
-    """Exact ||A|| for a real form, maximized over all sign vectors y.
+    """Exact ||A|| for a real form, maximized over the sign vectors of one side.
 
-    Refuses (rather than approximates) when N exceeds ``cap``; the
-    stochastic lower bounds in ``litt43.search`` cover larger shapes.
+    ||A|| = ||A^T||, so the walk runs over the smaller side (the columns
+    when K = N).  Refuses (rather than approximates) when min(K, N) exceeds
+    ``cap``; the stochastic lower bounds in ``litt43.search`` cover larger shapes.
     """
     if A.is_complex:
         raise ValueError("real_sup_norm requires a real-tagged form")
-    n = A.cols
+    e = A.entries if A.cols <= A.rows else A.entries.T
+    n = e.shape[1]
     if n > cap:
         raise CapacityError(
-            f"sign enumeration needs 2^{n - 1} patterns but the cap is N = {cap} "
-            f"(2^{cap - 1}); raise `cap` explicitly to proceed"
+            f"sign enumeration needs 2^{n - 1} patterns but the cap is "
+            f"min(K, N) = {cap} (2^{cap - 1}); raise `cap` explicitly to proceed"
         )
     # y[0] pinned to +1 (y and -y give equal values)
-    return max(_walk(A.entries[:, 0], A.entries[:, 1:], 2, _SIGN_TABLE_CAP, _block_max))
+    return max(_walk(e[:, 0], e[:, 1:], 2, _SIGN_TABLE_CAP, _block_max))
 
 
 def _grid_walk(A: BilinearForm, m: int, budget: int, reduce) -> list:

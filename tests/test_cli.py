@@ -1,12 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import litt43
 from litt43.cli import closed_form_label, main
 from litt43.exponents import Exponent, ExponentPair, classify_region, real_constant
-from litt43.forms import save_form, witness_a0
+from litt43.forms import random_form, save_form, transpose, witness_a0
 from litt43.jsonio import format_float
+from litt43.opnorm import real_sup_norm
 from litt43.search import checkpoint_load
 
 SQRT2 = math.sqrt(2.0)
@@ -155,6 +161,15 @@ class TestNorm:
         assert doc["lower"] == pytest.approx(2 * SQRT2, rel=1e-12)
         assert doc["upper"] == pytest.approx(4.0, rel=1e-12)
 
+    def test_wide_real_form_beyond_cap(self, capsys, tmp_path):
+        # 40 columns exceed the enumeration cap; the 3 rows do not
+        form = random_form("real", 3, 40, seed=2)
+        path = tmp_path / "wide.json"
+        save_form(form, path)
+        code, out, _ = run(capsys, "norm", "--input", str(path), "--field", "real")
+        assert code == 0
+        assert json.loads(out)["norm"] == real_sup_norm(transpose(form))
+
     def test_field_mismatch_exits_four(self, capsys, tmp_path):
         path = tmp_path / "a0.json"
         save_form(witness_a0("real"), path)
@@ -277,3 +292,19 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--suite", "fast",
                          "--override", "khinchin_sharpness=abc")
         assert code == 4
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(litt43.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "litt43", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    ok = module("constant", "--a", "4/3", "--b", "4/3", "--field", "real")
+    assert ok.returncode == 0, ok.stderr
+    assert "2^(1/2)" in ok.stdout
+    # the exit code of cli.main is the exit code of the process
+    assert module("constant", "--a", "1/2", "--b", "4/3").returncode == 2

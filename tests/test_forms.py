@@ -77,6 +77,25 @@ class TestMixedNorm:
         assert mixed_norm(cform, pair(a, b)).value == pytest.approx(
             naive_mixed_norm(centries, a, b), rel=1e-13)
 
+    @pytest.mark.parametrize("a,b", [(1, 1), (4 / 3, 4 / 3), (math.inf, 3),
+                                     (2, math.inf)])
+    def test_large_form_sums_exactly_rounded(self, a, b):
+        # 120 x 100 is above the threshold where every power sum is an fsum
+        rng = np.random.default_rng(8)
+        entries = rng.standard_normal((120, 100))
+        top = float(np.abs(entries).max())
+        rows = [max(abs(x) / top for x in row) if math.isinf(a)
+                else math.fsum((abs(x) / top) ** a for x in row) ** (1 / a)
+                for row in entries]
+        oracle = top * (max(rows) if math.isinf(b)
+                        else math.fsum(v ** b for v in rows) ** (1 / b))
+        value = mixed_norm(BilinearForm("real", entries), pair(a, b)).value
+        # numpy's and Python's powers may differ by an ulp per call
+        assert value == pytest.approx(oracle, rel=1e-14)
+        # exactly rounded sums do not depend on the order of rows or columns
+        shuffled = rng.permutation(rng.permutation(entries), axis=1)
+        assert mixed_norm(BilinearForm("real", shuffled), pair(a, b)).value == value
+
     def test_scaling_exact(self):
         rng = np.random.default_rng(11)
         entries = rng.standard_normal((5, 7))

@@ -3,12 +3,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from litt43 import opnorm
 from litt43.errors import CapacityError
 from litt43.exponents import ExponentPair, conjugate
-from litt43.forms import BilinearForm, mixed_norm, random_form, witness_a0
-from litt43.opnorm import (RootsOfUnityGrid, complex_norm_bounds,
+from litt43.forms import BilinearForm, mixed_norm, random_form, transpose, witness_a0
+from litt43.opnorm import (REAL_ENUM_CAP, RootsOfUnityGrid, complex_norm_bounds,
                            complex_norm_discrete, r_m, real_sup_norm)
 
 SQRT2 = math.sqrt(2.0)
@@ -97,12 +99,15 @@ class TestWalkHighDigits:
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_real_norm_matches_naive_oracle(self, k, monkeypatch):
+        # (k + 4) x 5 and 5 x (k + 4): the walk runs over the 5-coordinate
+        # side, 4 free signs of which 3 are high digits
         monkeypatch.setattr(opnorm, "_SIGN_TABLE_CAP", 2)
         rng = np.random.default_rng(40 + k)
-        for _ in range(5):
-            entries = rng.standard_normal((k, 5))
-            assert real_sup_norm(BilinearForm("real", entries)) == pytest.approx(
-                naive_real_norm(entries), rel=1e-12)
+        for _ in range(3):
+            entries = rng.standard_normal((k + 4, 5))
+            for e in (entries, entries.T):
+                assert real_sup_norm(BilinearForm("real", e)) == pytest.approx(
+                    naive_real_norm(e), rel=1e-12)
 
     @pytest.mark.parametrize("m", [3, 4])
     @pytest.mark.parametrize("k", [1, 3])
@@ -136,9 +141,18 @@ class TestRealSupNorm:
             real_sup_norm(witness_a0("complex"))
 
     def test_cap_refusal_names_cap(self):
-        form = random_form("real", 2, 6, "gaussian", seed=0)
-        with pytest.raises(CapacityError, match="N = 5"):
+        # the cap counts the smaller side, so both sides must exceed it
+        form = random_form("real", 6, 6, "gaussian", seed=0)
+        with pytest.raises(CapacityError, match=r"min\(K, N\) = 5"):
             real_sup_norm(form, cap=5)
+
+    def test_wide_form_beyond_cap_is_exact(self):
+        # 2^29 column patterns, but only 2 sign patterns of the two rows
+        rng = np.random.default_rng(18)
+        entries = rng.standard_normal((2, REAL_ENUM_CAP + 6))
+        exact = max(math.fsum(abs(entries[0] + s * entries[1])) for s in (1.0, -1.0))
+        assert real_sup_norm(BilinearForm("real", entries)) == pytest.approx(exact,
+                                                                             rel=1e-14)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(99)
@@ -150,9 +164,10 @@ class TestRealSupNorm:
             assert fast == pytest.approx(naive_real_norm(entries), rel=1e-12)
 
     def test_blocked_equals_patternwise_recompute(self):
-        # re-evaluate every sign pattern from scratch at N = 12
+        # re-evaluate every sign pattern from scratch at N = 12 (a tall
+        # form, so the walk runs over the 12 columns)
         rng = np.random.default_rng(5)
-        entries = rng.standard_normal((3, 12))
+        entries = rng.standard_normal((13, 12))
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=11)))
         ys = np.hstack([np.ones((signs.shape[0], 1)), signs])
         naive = np.abs(entries @ ys.T).sum(axis=0).max()
@@ -160,9 +175,10 @@ class TestRealSupNorm:
             float(naive), rel=1e-12)
 
     def test_gray_walk_over_high_bits_n17(self):
-        # N - 1 > 14 exercises the tabulated-block / high-digit split
+        # N - 1 > 14 exercises the tabulated-block / high-digit split (a
+        # tall form, so the walk runs over the 17 columns)
         rng = np.random.default_rng(6)
-        entries = rng.standard_normal((2, 17))
+        entries = rng.standard_normal((18, 17))
         signs = np.array(list(itertools.product((-1.0, 1.0), repeat=16)))
         ys = np.hstack([np.ones((signs.shape[0], 1)), signs])
         naive = np.abs(entries @ ys.T).sum(axis=0).max()
@@ -187,6 +203,35 @@ class TestRealSupNorm:
         ys = rng.uniform(-1, 1, size=(2000, 4))
         values = np.abs(np.einsum("ti,ij,tj->t", xs, entries, ys))
         assert values.max() <= norm + 1e-12
+
+
+def _layouts(entries):
+    """The same matrix as C-ordered, F-ordered and two strided views."""
+    k, n = entries.shape
+    strided = np.zeros((2 * k, 3 * n))
+    strided[::2, ::3] = entries
+    reversed_ = np.zeros((2 * k, 3 * n))
+    reversed_[::-2, ::-3] = entries
+    return [np.ascontiguousarray(entries), np.asfortranarray(entries),
+            strided[::2, ::3], reversed_[::-2, ::-3]]
+
+
+@st.composite
+def _non_square(draw):
+    k, n = draw(st.lists(st.integers(1, 6), min_size=2, max_size=2, unique=True))
+    return draw(arrays(np.float64, (k, n), elements=st.floats(-1e3, 1e3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_non_square())
+def test_real_norm_is_layout_and_transpose_invariant(entries):
+    # ||A|| = ||A^T||, and A and A^T walk the same shorter side, bit for bit
+    form = BilinearForm("real", entries)
+    values = {real_sup_norm(form), real_sup_norm(transpose(form))}
+    values |= {real_sup_norm(BilinearForm("real", e))
+               for e in _layouts(entries) + _layouts(entries.T)}
+    assert len(values) == 1
+    assert values.pop() == pytest.approx(naive_real_norm(entries), rel=1e-12, abs=1e-300)
 
 
 class TestComplexNormDiscrete:

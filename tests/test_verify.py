@@ -1,7 +1,8 @@
 import pytest
 
-from litt43.verify import (FAST_PRESET, FULL_PRESET, CHECK_NAMES, report_to_json,
-                           run_suite)
+from litt43 import verify
+from litt43.verify import (FAST_PRESET, FULL_PRESET, CHECK_NAMES, CheckResult,
+                           report_to_json, run_suite)
 
 
 class TestSuitePlumbing:
@@ -28,6 +29,26 @@ class TestSuitePlumbing:
         assert text == report_to_json(run_suite("fast", seed=3,
                                                  only=["witness_sharpness"]))
         assert text.endswith("\n")
+
+    def test_seeds_are_keyed_by_check_name(self, monkeypatch):
+        seen = {}
+
+        def recorder(name):
+            def check(seed, **kwargs):
+                seen[name] = seed
+                return CheckResult(name, True, 1.0, {})
+            return check
+
+        monkeypatch.setattr(verify, "_CHECKS", {n: recorder(n) for n in CHECK_NAMES})
+        run_suite("fast", seed=5)
+        # the offsets of the registry order the reports were first made with
+        assert seen == {n: 5 + i * 104729 for i, n in enumerate(CHECK_NAMES)}
+        before = dict(seen)
+        seen.clear()
+        del verify._CHECKS["witness_sharpness"]
+        run_suite("fast", seed=5)
+        del before["witness_sharpness"]
+        assert seen == before
 
 
 class TestSteinhausSharpPoint:
