@@ -99,6 +99,20 @@ def _lp_fsum(vals: np.ndarray, p: float):
     return np.power(np.apply_along_axis(math.fsum, -1, np.power(vals, p)), 1.0 / p)
 
 
+def _mixed_norms(E: np.ndarray, pair: ExponentPair) -> np.ndarray:
+    """mixed_norm of each K x N matrix of the stack E (B, K, N), as (B,).
+
+    The stack is made C-contiguous first: numpy sums a contiguous row
+    pairwise but a strided one in sequence, so without it the last bits
+    would depend on the layout of the caller's array.
+    """
+    mags = np.abs(np.ascontiguousarray(E))
+    top = mags.max(axis=(-2, -1))
+    top[top == 0.0] = 1.0  # a zero matrix then gets 1 * 0
+    lp = _lp if E.shape[-2] * E.shape[-1] <= _COMPENSATED_SUM_THRESHOLD else _lp_fsum
+    return top * lp(lp(mags / top[..., None, None], pair.a.value), pair.b.value)
+
+
 def mixed_norm(A: BilinearForm, pair: ExponentPair) -> MixedNormValue:
     """(sum_k (sum_j |A_kj|^a)^(b/a))^(1/b), with sup at any infinite level.
 
@@ -106,14 +120,7 @@ def mixed_norm(A: BilinearForm, pair: ExponentPair) -> MixedNormValue:
     intermediate powers in range for any exponent and makes the norm exactly
     homogeneous up to rounding.
     """
-    mags = np.abs(A.entries)
-    top = float(mags.max())
-    if top == 0.0:
-        return MixedNormValue(0.0, pair)
-    scaled = mags / top
-    lp = _lp if scaled.size <= _COMPENSATED_SUM_THRESHOLD else _lp_fsum
-    value = top * float(lp(lp(scaled, pair.a.value), pair.b.value))
-    return MixedNormValue(value, pair)
+    return MixedNormValue(float(_mixed_norms(A.entries[None], pair)[0]), pair)
 
 
 def _mixed_norm_grid(A: BilinearForm, inner, outer) -> np.ndarray:

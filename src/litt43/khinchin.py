@@ -121,43 +121,56 @@ class BleiBoundReport:
     violation: bool
 
 
+def _lr_norms(A: np.ndarray, r: Exponent) -> np.ndarray:
+    """lr_norm of each row of the stack A (B, N), as (B,); layout-free as _mixed_norms."""
+    mags = np.abs(np.ascontiguousarray(A))
+    top = mags.max(axis=-1)
+    top[top == 0.0] = 1.0  # a zero vector then gets 1 * 0
+    return top * _lp(mags / top[..., None], r.value)
+
+
 def lr_norm(c: Coefficients, r) -> float:
     """(sum |a_n|^r)^(1/r), supremum for r = oo."""
-    r = _as_exponent(r)
-    mags = np.abs(_values(c))
-    top = float(mags.max())
-    if top == 0.0:
-        return top
-    return top * float(_lp(mags / top, r.value))
+    return float(_lr_norms(_values(c)[None], _as_exponent(r))[0])
 
 
-def _mean_abs(a: np.ndarray, m: int, budget: Optional[int] = None) -> float:
-    """Exact mean of |sum_n a_n w_n| over w in Omega_M^N.
+def _block_abs_sum(block: np.ndarray) -> np.ndarray:
+    return np.abs(block).sum(axis=(-2, -1))
+
+
+def _mean_abs(A: np.ndarray, m: int, budget: Optional[int] = None) -> np.ndarray:
+    """Exact mean of |sum_n a_n w_n| over w in Omega_M^N, for each row of A (B, N).
 
     The last multiplier is pinned to 1 (exact by rotation invariance), so
-    the walk sums M^(N-1) terms, which is what ``budget`` counts.
+    the walk sums M^(N-1) terms per row, which is what ``budget`` counts.
     """
-    terms = m ** (a.size - 1)
+    n = A.shape[-1]
+    terms = m ** (n - 1)
     if budget is not None and terms > budget:
         raise CapacityError(
-            f"Omega_{m}^{a.size} averaging needs {terms} terms (after fixing the "
+            f"Omega_{m}^{n} averaging needs {terms} terms (after fixing the "
             f"global phase) but the budget is {budget}"
         )
-    sums = _walk(a[-1:], a[None, :-1], m, _TABLE_CAP,
-                 lambda block: float(np.abs(block).sum()))
-    return math.fsum(sums) / terms
+    sums = _walk(A[..., -1:], A[..., None, :-1], m, _TABLE_CAP, _block_abs_sum)
+    # fsum of a single block sum is that sum, bit for bit
+    totals = sums[0] if len(sums) == 1 else np.array([math.fsum(row) for row in zip(*sums)])
+    return totals / terms
+
+
+def _rademacher_means(A: np.ndarray, cap: int = RADEMACHER_CAP) -> np.ndarray:
+    """Exact Rademacher average of each row of the stack A (B, N)."""
+    if A.shape[-1] > cap:
+        raise CapacityError(
+            f"Rademacher enumeration needs 2^{A.shape[-1] - 1} patterns but the cap is "
+            f"N = {cap}; raise `cap` explicitly to proceed"
+        )
+    return _mean_abs(A, 2)
 
 
 def rademacher_average(c: Coefficients, cap: int = RADEMACHER_CAP) -> AverageResult:
     """Exact average of |sum eta_n a_n| over all 2^N sign patterns."""
-    a = _values(c)
-    if a.size > cap:
-        raise CapacityError(
-            f"Rademacher enumeration needs 2^{a.size - 1} patterns but the cap is "
-            f"N = {cap}; raise `cap` explicitly to proceed"
-        )
-    return AverageResult(value=_mean_abs(a, 2), kind="rademacher",
-                         method="enumeration", error_bound=0.0)
+    return AverageResult(value=float(_rademacher_means(_values(c)[None], cap)[0]),
+                         kind="rademacher", method="enumeration", error_bound=0.0)
 
 
 def khinchin_ratio(c: Coefficients, r) -> float:
@@ -185,7 +198,7 @@ def e_m_average(c: Coefficients, m: int,
     a = _values(c)
     if m < 2:
         raise ValueError(f"root-of-unity average needs M >= 2, got {m}")
-    value = _mean_abs(a, m, budget)
+    value = float(_mean_abs(a[None], m, budget)[0])
     return AverageResult(value=value, kind="e_m", method="enumeration",
                          error_bound=0.0, m=int(m))
 
@@ -211,6 +224,19 @@ def rotation_invariance_check(c: Coefficients, m: int, shifts: Sequence[float],
     return abs(after - before) <= 1e-12 * max(before, 1e-300)
 
 
+def _quadrature(A: np.ndarray, q: int, budget: int = DEFAULT_EVAL_BUDGET):
+    """(value, error_bound) of the Steinhaus quadrature for each row of A (B, N)."""
+    if A.shape[-1] > QUADRATURE_DIM_CAP:
+        raise CapacityError(
+            f"quadrature supports N <= {QUADRATURE_DIM_CAP}, got N = {A.shape[-1]}"
+        )
+    if q < 4 or q % 2:
+        raise ValueError(f"quadrature needs an even node count >= 4, got {q}")
+    coarse = _mean_abs(A, q // 2, budget)
+    fine = _mean_abs(A, q, budget)
+    return (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse)
+
+
 def steinhaus_expectation(c: Coefficients, method: str = "quadrature",
                           q: int = 256, schedule: Optional[Sequence[int]] = None,
                           budget: int = DEFAULT_EVAL_BUDGET) -> AverageResult:
@@ -227,17 +253,9 @@ def steinhaus_expectation(c: Coefficients, method: str = "quadrature",
     """
     a = _values(c)
     if method == "quadrature":
-        if a.size > QUADRATURE_DIM_CAP:
-            raise CapacityError(
-                f"quadrature supports N <= {QUADRATURE_DIM_CAP}, got N = {a.size}"
-            )
-        if q < 4 or q % 2:
-            raise ValueError(f"quadrature needs an even node count >= 4, got {q}")
-        coarse = _mean_abs(a, q // 2, budget)
-        fine = _mean_abs(a, q, budget)
-        value = (4.0 * fine - coarse) / 3.0
-        return AverageResult(value=value, kind="steinhaus", method="quadrature",
-                             error_bound=abs(fine - coarse))
+        value, error = _quadrature(a[None], q, budget)
+        return AverageResult(value=float(value[0]), kind="steinhaus", method="quadrature",
+                             error_bound=float(error[0]))
     if method in ("e_m_limit", "e_m-limit"):
         if schedule is None or len(schedule) < 2:
             raise ValueError("e_m_limit needs an increasing schedule of >= 2 values of M")

@@ -24,6 +24,7 @@ each shifting the whole block by its offset.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,49 +99,71 @@ _SIGNS = np.array([1.0, -1.0])  # Omega_2, exactly
 
 
 def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """first + sum_j cols[:, j] * points[d_j] over every digit tuple, as (K, M^L).
+    """first + sum_j cols[..., j] * points[d_j] over every digit tuple, as (..., K, M^L).
 
-    Column t of the result has digits d_j of t in base M, column 0 of
-    ``cols`` least significant: each new column's digit is the most
-    significant one, so every step adds M contiguous copies of the table.
+    Leading axes of ``first`` (..., K) and ``cols`` (..., K, L) are batch
+    axes; every operation is elementwise along them.  Column t of the
+    result has digits d_j of t in base M, column 0 of ``cols`` least
+    significant: each new column's digit is the most significant one, so
+    every step adds M contiguous copies of the table.  The table is always
+    C-contiguous, even with no columns: numpy's reductions over it
+    associate by layout, and a strided stack would sum in another order.
     """
-    table = first[:, None]
-    for contrib in cols.T[:, :, None] * points:  # (K, M) per column
-        table = (contrib[:, :, None] + table[:, None, :]).reshape(len(first), -1)
+    table = np.ascontiguousarray(first)[..., None]
+    contribs = cols[..., None] * points  # (..., K, L, M)
+    for j in range(cols.shape[-1]):
+        table = (contribs[..., j, :, None] + table[..., None, :]).reshape(first.shape + (-1,))
     return table
 
 
 def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce) -> list:
     """Apply ``reduce`` to every block of the sums first + cols @ w, w in Omega_M^L.
 
-    ``first`` (K,) is the pinned column; the L columns of ``cols`` (K, L)
-    are multiplied by M-th roots of unity (exactly +-1 for M = 2).  The
-    first columns are tabulated as one (K, T) block of at most
-    ``table_cap`` patterns (at least one column); the remaining high
-    digits run in mixed-radix order, each adding its offset to the whole
-    block.  Block h, column t holds pattern g = h * T + t, whose digits
-    are ``np.unravel_index(g, (M,) * L, order="F")`` (column 0 least
+    ``first`` (..., K) is the pinned column; the L columns of ``cols``
+    (..., K, L) are multiplied by M-th roots of unity (exactly +-1 for
+    M = 2); leading axes are a batch of independent walks.  The first
+    columns are tabulated as one (..., K, T) block of at most
+    ``table_cap`` patterns per batch member (at least one column); the
+    remaining high digits run in mixed-radix order, each adding its offset
+    to the whole block.  The split depends on (M, L, table_cap) alone, never
+    on the batch size, so every member's sums associate as in a walk of its
+    own.  Block h, column t holds pattern g = h * T + t, whose digits are
+    ``np.unravel_index(g, (M,) * L, order="F")`` (column 0 least
     significant).  Returns the list of reductions, in block order.
     """
     points = _SIGNS if m == 2 else RootsOfUnityGrid(m).points
-    low = cols.shape[1]
+    low = cols.shape[-1]
     while low > 1 and m ** low > table_cap:
         low -= 1
-    table = _partial_sums(first, cols[:, :low], points)
-    if low == cols.shape[1]:
+    table = _partial_sums(first, cols[..., :low], points)
+    if low == cols.shape[-1]:
         return [reduce(table)]
-    offsets = _partial_sums(np.zeros(len(first)), cols[:, low:], points)
-    return [reduce(table + offsets[:, h, None]) for h in range(offsets.shape[1])]
+    offsets = _partial_sums(np.zeros(first.shape), cols[..., low:], points)
+    return [reduce(table + offsets[..., h, None]) for h in range(offsets.shape[-1])]
 
 
-def _block_max(block: np.ndarray) -> float:
-    return float(np.abs(block).sum(axis=0).max())
+def _block_max(block: np.ndarray) -> np.ndarray:
+    return np.abs(block).sum(axis=-2).max(axis=-1)
 
 
 def _block_argmax(block: np.ndarray):
-    sums = np.abs(block).sum(axis=0)
-    t = int(np.argmax(sums))
-    return float(sums[t]), t
+    sums = np.abs(block).sum(axis=-2)
+    t = np.argmax(sums, axis=-1)
+    return np.take_along_axis(sums, t[..., None], axis=-1)[..., 0], t
+
+
+def _real_norms(E: np.ndarray, cap: int = REAL_ENUM_CAP) -> np.ndarray:
+    """Exact ||A|| for each real K x N matrix of the stack E (B, K, N)."""
+    e = E if E.shape[-1] <= E.shape[-2] else np.swapaxes(E, -1, -2)
+    n = e.shape[-1]
+    if n > cap:
+        raise CapacityError(
+            f"sign enumeration needs 2^{n - 1} patterns but the cap is "
+            f"min(K, N) = {cap} (2^{cap - 1}); raise `cap` explicitly to proceed"
+        )
+    # y[0] pinned to +1 (y and -y give equal values)
+    return functools.reduce(np.maximum, _walk(e[..., 0], e[..., 1:], 2, _SIGN_TABLE_CAP,
+                                              _block_max))
 
 
 def real_sup_norm(A: BilinearForm, cap: int = REAL_ENUM_CAP) -> float:
@@ -152,28 +175,26 @@ def real_sup_norm(A: BilinearForm, cap: int = REAL_ENUM_CAP) -> float:
     """
     if A.is_complex:
         raise ValueError("real_sup_norm requires a real-tagged form")
-    e = A.entries if A.cols <= A.rows else A.entries.T
-    n = e.shape[1]
-    if n > cap:
-        raise CapacityError(
-            f"sign enumeration needs 2^{n - 1} patterns but the cap is "
-            f"min(K, N) = {cap} (2^{cap - 1}); raise `cap` explicitly to proceed"
-        )
-    # y[0] pinned to +1 (y and -y give equal values)
-    return max(_walk(e[:, 0], e[:, 1:], 2, _SIGN_TABLE_CAP, _block_max))
+    return float(_real_norms(A.entries[None], cap)[0])
 
 
-def _grid_walk(A: BilinearForm, m: int, budget: int, reduce) -> list:
-    """The walk over T_M^N with the first coordinate pinned to 1."""
+def _grid_walk(E: np.ndarray, m: int, budget: int, reduce) -> list:
+    """The walk over T_M^N with the first coordinate pinned to 1, for a stack E (B, K, N)."""
     if m < 3:
         raise ValueError(f"root-of-unity norm needs M >= 3, got {m}")
-    evals = m ** (A.cols - 1)
+    n = E.shape[-1]
+    evals = m ** (n - 1)
     if evals > budget:
         raise CapacityError(
-            f"T_{m}^{A.cols} enumeration needs {evals} objective evaluations "
+            f"T_{m}^{n} enumeration needs {evals} objective evaluations "
             f"(after fixing the global phase) but the budget is {budget}"
         )
-    return _walk(A.entries[:, 0], A.entries[:, 1:], m, _ROOT_TABLE_CAP, reduce)
+    return _walk(E[..., 0], E[..., 1:], m, _ROOT_TABLE_CAP, reduce)
+
+
+def _grid_norms(E: np.ndarray, m: int, budget: int = DEFAULT_EVAL_BUDGET) -> np.ndarray:
+    """||A||_M for each K x N matrix of the stack E (B, K, N)."""
+    return functools.reduce(np.maximum, _grid_walk(E, m, budget, _block_max))
 
 
 def complex_norm_discrete(A: BilinearForm, m: int,
@@ -184,7 +205,7 @@ def complex_norm_discrete(A: BilinearForm, m: int,
     enumeration costs M^(N-1) objective evaluations, which is what the
     budget counts.  Real-tagged forms are accepted and treated as complex.
     """
-    return max(_grid_walk(A, m, budget, _block_max))
+    return float(_grid_norms(A.entries[None], m, budget)[0])
 
 
 def r_m(m) -> float:
@@ -272,7 +293,8 @@ def complex_norm_bounds(A: BilinearForm, m: int, refine: bool = False,
     unrefined grid norm, whose R_M guarantee is what certification needs.
     """
     factor = r_m(m)
-    blocks = _grid_walk(A, m, budget, _block_argmax)
+    blocks = [(float(v[0]), int(t[0]))
+              for v, t in _grid_walk(A.entries[None], m, budget, _block_argmax)]
     h = max(range(len(blocks)), key=lambda i: blocks[i][0])  # first maximal block
     discrete, t = blocks[h]
     lower = discrete

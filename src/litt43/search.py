@@ -14,6 +14,21 @@ rejected step with a bounded re-expansion on acceptance, and independent
 restarts seeded ``seed + restart_index``.  Everything is deterministic
 for a fixed config (unless a wall-clock budget cuts restarts short).
 
+Proposals are evaluated in step windows, up to 64 in one batched kernel
+call, and the trajectory is still the per-step one bit for bit.  The noise
+of step s comes only from the restart's own generator, never from x or
+the scale, and under rejection the scale follows a fixed ladder.  So the
+next w proposals, assuming each earlier one in the window is rejected,
+are x + s_k * G_k, with G_k the next w draws of the stream (one
+(w, ...) draw is those w draws) and s_k the scale decayed k times by
+repeated multiplication.  The first strict improvement in the window is
+exactly serial step k; the climber takes it, keeps the unused draws for
+the next window and discards the later proposals, which the serial path
+never made.  The kernels give each member of a batch the bits it gets
+alone.  A window is as large as keeps its tables within 8192 elements,
+so an objective that fills that with one evaluation steps one proposal
+at a time, as the serial path did, with nothing evaluated in vain.
+
 Complex form searches cannot evaluate the true operator norm, only the
 certified interval from ``opnorm.complex_norm_bounds``.  The reported
 ``best_ratio`` divides by the interval's *upper* endpoint (pessimistic:
@@ -41,11 +56,12 @@ import numpy as np
 from .errors import SerializationError
 from .exponents import (Exponent, ExponentPair, _as_exponent,
                         complex_constant_bounds, real_constant)
-from .forms import BilinearForm, form_from_json, form_to_json, mixed_norm
+from .forms import BilinearForm, _mixed_norms, form_from_json, form_to_json, mixed_norm
 from .jsonio import canonical_dumps, loads, require_field
-from .khinchin import (CoefficientVector, ceiling, e_m_average, lr_norm,
-                       rademacher_average, steinhaus_expectation)
-from .opnorm import DEFAULT_EVAL_BUDGET, complex_norm_bounds, r_m, real_sup_norm
+from .khinchin import (CoefficientVector, _lr_norms, _mean_abs, _quadrature,
+                       _rademacher_means, ceiling)
+from .opnorm import (DEFAULT_EVAL_BUDGET, _grid_norms, _real_norms, complex_norm_bounds,
+                     r_m, real_sup_norm)
 
 __all__ = [
     "SearchConfig",
@@ -61,6 +77,11 @@ CEILING_SLACK = 1e-9
 
 _SCALE_DECAY = 0.95
 _SCALE_REGROWTH_STEPS = 20  # bounded re-expansion on improvement
+
+# A step window evaluates up to _MAX_WINDOW proposals in one kernel call,
+# as many as keep its tables within _WINDOW_ELEMENTS elements in all.
+_WINDOW_ELEMENTS = 8192
+_MAX_WINDOW = 64
 
 
 @dataclass(frozen=True)
@@ -111,13 +132,31 @@ def _exp_to_json(e: Exponent):
     return "inf" if e.is_inf else e.value
 
 
-def _gaussian(rng: np.random.Generator, shape, field: str) -> np.ndarray:
-    """Standard normal draw; independent real and imaginary parts if complex."""
-    x = rng.standard_normal(shape)
-    return x + 1j * rng.standard_normal(shape) if field == "complex" else x
+def _gaussians(rng: np.random.Generator, count: int, shape: tuple, field: str) -> np.ndarray:
+    """``count`` standard normal draws of ``shape``, stacked; re then im if complex.
+
+    One (count, ...) draw is the same stream as ``count`` draws in a row,
+    so a batch of draws is the per-step noise of ``count`` steps.
+    """
+    if field == "complex":
+        g = rng.standard_normal((count, 2) + shape)
+        return g[:, 0] + 1j * g[:, 1]
+    return rng.standard_normal((count,) + shape)
 
 
-class _FormObjective:
+class _Objective:
+    """A scale-invariant ratio of points of one shape.
+
+    ``ratios`` evaluates a stack of points (leading axis) in one kernel
+    call and lists the ratios, NaN where one is undefined.
+    """
+
+    def ratio(self, x) -> Optional[float]:
+        value = self.ratios(x[None])[0]
+        return None if math.isnan(value) else value
+
+
+class _FormObjective(_Objective):
     """mixed_norm / operator-norm ratio over K x N forms of one field."""
 
     def __init__(self, params: dict):
@@ -126,27 +165,28 @@ class _FormObjective:
         self.m = int(params.get("m") or 0)
         self.norm_budget = int(params.get("norm_budget", DEFAULT_EVAL_BUDGET))
 
-    def draw(self, rng, dims):
-        return _gaussian(rng, dims, self.field)
+    def shape(self, dims) -> tuple:
+        return tuple(dims)
 
-    def perturb(self, rng, x, scale):
-        return x + scale * _gaussian(rng, x.shape, self.field)
-
-    def normalize(self, x):
-        return x
-
-    def ratio(self, x) -> Optional[float]:
-        form = BilinearForm(self.field, x)
-        numerator = mixed_norm(form, self.pair).value
+    def cost(self, shape) -> int:
+        """Table elements one evaluation builds."""
+        k, n = shape
         if self.field == "real":
-            denominator = real_sup_norm(form)
+            return max(k, n) * 2 ** (min(k, n) - 1)
+        return k * self.m ** (n - 1)
+
+    def normalize(self, X):
+        return X
+
+    def ratios(self, X) -> list:
+        numerators = _mixed_norms(X, self.pair)
+        if self.field == "real":
+            denominators = _real_norms(X)
         else:
             # pessimistic ratio: divide by the certified upper bound
-            denominator = complex_norm_bounds(form, self.m, refine=False,
-                                              budget=self.norm_budget).upper
-        if denominator < 1e-12:
-            return None
-        return numerator / denominator
+            denominators = _grid_norms(X, self.m, self.norm_budget) / r_m(self.m)
+        return [math.nan if d < 1e-12 else n / d
+                for n, d in zip(numerators.tolist(), denominators.tolist())]
 
     def final_ratios(self, x):
         """(best_ratio, optimistic_ratio) at the climbed point."""
@@ -172,7 +212,7 @@ class _FormObjective:
         return report.upper, text
 
 
-class _KhinchinObjective:
+class _KhinchinObjective(_Objective):
     """l_r norm / average ratio over coefficient vectors."""
 
     def __init__(self, params: dict):
@@ -186,32 +226,29 @@ class _KhinchinObjective:
             raise ValueError(f"unknown model {self.model!r}")
         self.field = "real" if self.model == "rademacher" else "complex"
 
-    def draw(self, rng, dims):
-        return _gaussian(rng, self.n, self.field)
+    def shape(self, dims) -> tuple:
+        return (self.n,)
 
-    def perturb(self, rng, x, scale):
-        return x + scale * _gaussian(rng, x.shape, self.field)
+    def cost(self, shape) -> int:
+        """Table elements one evaluation builds."""
+        nodes = {"rademacher": 2, "e_m": self.m, "steinhaus": self.q}[self.model]
+        return nodes ** (shape[-1] - 1)
 
-    def normalize(self, x):
-        norm = lr_norm(x, self.r)
-        return x if norm == 0.0 else x / norm
+    def normalize(self, X):
+        norms = _lr_norms(X, self.r)
+        norms[norms == 0.0] = 1.0  # the zero vector stays as it is
+        return X / norms[:, None]
 
-    def _average(self, x) -> float:
+    def _averages(self, X):
         if self.model == "rademacher":
-            return rademacher_average(x).value
+            return _rademacher_means(X)
         if self.model == "e_m":
-            return e_m_average(x, self.m, budget=self.budget).value
-        return steinhaus_expectation(x, method="quadrature", q=self.q,
-                                     budget=self.budget).value
+            return _mean_abs(X, self.m, self.budget)
+        return _quadrature(X, self.q, self.budget)[0]
 
-    def ratio(self, x) -> Optional[float]:
-        numerator = lr_norm(x, self.r)
-        if numerator == 0.0:
-            return None
-        average = self._average(x)
-        if average < 1e-12 * numerator:
-            return None
-        return numerator / average
+    def ratios(self, X) -> list:
+        return [math.nan if n == 0.0 or a < 1e-12 * n else n / a
+                for n, a in zip(_lr_norms(X, self.r).tolist(), self._averages(X).tolist())]
 
     def final_ratios(self, x):
         return self.ratio(x), None
@@ -240,26 +277,45 @@ def _run_restart(args):
     objective = _make_objective(kind, params)
     cfg = SearchConfig(**cfg_dict)
     rng = np.random.default_rng(cfg.seed + restart)
-    x = objective.normalize(objective.draw(rng, cfg.dims))
-    current = objective.ratio(x)
+    shape = objective.shape(cfg.dims)
+    current = None
     redraws = 0
-    while current is None and redraws < 100:
-        x = objective.normalize(objective.draw(rng, cfg.dims))
+    while current is None and redraws <= 100:
+        x = objective.normalize(_gaussians(rng, 1, shape, objective.field))[0]
         current = objective.ratio(x)
         redraws += 1
     if current is None:
         raise RuntimeError("could not draw a starting point with a nonzero denominator")
+    window = min(_MAX_WINDOW, max(1, _WINDOW_ELEMENTS // objective.cost(shape)))
     scale = cfg.scale
     events = [(0, current)]
-    for step in range(1, cfg.steps + 1):
-        candidate = objective.normalize(objective.perturb(rng, x, scale))
-        value = objective.ratio(candidate)
-        if value is not None and value > current:
-            x, current = candidate, value
-            scale = min(cfg.scale, scale / _SCALE_DECAY ** _SCALE_REGROWTH_STEPS)
-            events.append((step, current))
+    noise = _gaussians(rng, 0, shape, objective.field)  # drawn, not yet used
+    ladder_shape = (-1,) + (1,) * len(shape)
+    done = 0
+    while done < cfg.steps:
+        # the next w steps as if every one is rejected: their noise is fixed
+        # by the stream and their scales by the decay ladder
+        w = min(window, cfg.steps - done)
+        if len(noise) < w:
+            fresh = _gaussians(rng, w - len(noise), shape, objective.field)
+            noise = np.concatenate([noise, fresh]) if len(noise) else fresh
+        scales = [scale]
+        for _ in range(w - 1):  # repeated multiplication, as the serial steps decay it
+            scales.append(scales[-1] * _SCALE_DECAY)
+        moves = np.array(scales).reshape(ladder_shape) * noise[:w]
+        candidates = objective.normalize(x + moves)
+        # the first improvement is the serial step; later ones are moot
+        # (NaN, an undefined ratio, is never an improvement)
+        for k, value in enumerate(objective.ratios(candidates)):
+            if value > current:
+                x, current = candidates[k], value
+                scale = min(cfg.scale, scales[k] / _SCALE_DECAY ** _SCALE_REGROWTH_STEPS)
+                events.append((done + k + 1, current))
+                break
         else:
-            scale *= _SCALE_DECAY
+            scale = scales[-1] * _SCALE_DECAY
+        noise = noise[k + 1:]
+        done += k + 1
     # scale invariance spot check: the objective must not depend on |x|
     doubled = objective.ratio(2.0 * x)
     if doubled is not None and abs(doubled - current) > 1e-12 * max(current, 1.0):

@@ -1,10 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from litt43 import khinchin
+from litt43.exponents import _as_exponent
 from litt43.errors import CapacityError, UndefinedRatioError
 from litt43.khinchin import (CoefficientVector, blei_bound_check, ceiling, e_m_average,
                              khinchin_ratio, lr_norm, rademacher_average,
@@ -164,6 +167,56 @@ class TestHighDigitPath:
             if m == 2:
                 assert rademacher_average(c.real).value == pytest.approx(
                     naive_rademacher(c.real), rel=1e-12)
+
+
+def _vector_layouts(values):
+    """The same vector contiguous, as a strided view and as a reversed view."""
+    n = values.size
+    strided = np.zeros(3 * n, dtype=values.dtype)
+    strided[::3] = values
+    reversed_ = np.zeros(2 * n, dtype=values.dtype)
+    reversed_[::-2] = values
+    return [values.copy(), strided[::3], reversed_[::-2]]
+
+
+@st.composite
+def _vector_stacks(draw):
+    """B in 1..5 real or complex vectors of one length, each in its own layout."""
+    n = draw(st.integers(1, 12))
+    b = draw(st.integers(1, 5))
+    # Gaussian entries make every last bit of a sum depend on its order
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    rows = rng.standard_normal((b, n)) * 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        rows = rows + 1j * rng.standard_normal((b, n))
+    rows[rng.random((b, n)) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    members = [_vector_layouts(row)[draw(st.integers(0, 2))] for row in rows]
+    stack = np.stack(members)
+    return members, draw(st.sampled_from([stack, np.asfortranarray(stack)]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_vector_stacks(), st.sampled_from([1.0, 4.0 / 3.0, 2.0, 3.0, math.inf]),
+       st.sampled_from([2, 3, 4, 5]), st.booleans())
+def test_batched_cores_match_public_functions(case, r, m, small_cap):
+    # each member of a stack gets the bits the public function gives it
+    # alone; a small table cap sends the walk across high digits
+    members, stack = case
+    cap = m if small_cap else khinchin._TABLE_CAP
+    with mock.patch.object(khinchin, "_TABLE_CAP", cap):
+        n = stack.shape[-1]
+        norms = khinchin._lr_norms(stack, _as_exponent(r))
+        signs = khinchin._rademacher_means(stack.real)
+        means = khinchin._mean_abs(stack, m) if n <= 6 else None
+        quad = khinchin._quadrature(stack, 2 * m) if n <= 4 else None
+        for i, member in enumerate(members):
+            assert norms[i] == lr_norm(member, r)
+            assert signs[i] == rademacher_average(member.real).value
+            if means is not None:
+                assert means[i] == e_m_average(member, m).value
+            if quad is not None:
+                result = steinhaus_expectation(member, q=2 * m)
+                assert (quad[0][i], quad[1][i]) == (result.value, result.error_bound)
 
 
 class TestRotationInvariance:

@@ -1,12 +1,13 @@
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from litt43 import opnorm
+from litt43 import forms, opnorm
 from litt43.errors import CapacityError
 from litt43.exponents import ExponentPair, conjugate
 from litt43.forms import BilinearForm, mixed_norm, random_form, transpose, witness_a0
@@ -208,9 +209,9 @@ class TestRealSupNorm:
 def _layouts(entries):
     """The same matrix as C-ordered, F-ordered and two strided views."""
     k, n = entries.shape
-    strided = np.zeros((2 * k, 3 * n))
+    strided = np.zeros((2 * k, 3 * n), dtype=entries.dtype)
     strided[::2, ::3] = entries
-    reversed_ = np.zeros((2 * k, 3 * n))
+    reversed_ = np.zeros((2 * k, 3 * n), dtype=entries.dtype)
     reversed_[::-2, ::-3] = entries
     return [np.ascontiguousarray(entries), np.asfortranarray(entries),
             strided[::2, ::3], reversed_[::-2, ::-3]]
@@ -232,6 +233,66 @@ def test_real_norm_is_layout_and_transpose_invariant(entries):
                for e in _layouts(entries) + _layouts(entries.T)}
     assert len(values) == 1
     assert values.pop() == pytest.approx(naive_real_norm(entries), rel=1e-12, abs=1e-300)
+
+
+_STACK_PAIRS = [(4.0 / 3.0, 4.0 / 3.0), (1.0, 2.0), (2.0, math.inf), (math.inf, 1.0),
+                (3.0, 1.5)]
+
+
+@st.composite
+def _form_stacks(draw):
+    """B in 1..5 forms of one shape and field, each member in its own layout.
+
+    Up to 12 columns, so rows reach numpy's pairwise summation (8 or more
+    terms); the side a walk enumerates stays small.
+    """
+    field = draw(st.sampled_from(["real", "complex"]))
+    # one-coordinate sides often: their walk sums a view of the input
+    k = draw(st.one_of(st.just(1), st.integers(1, 10)))
+    n = draw(st.one_of(st.just(1), st.integers(1, 12 if k <= 6 else 6)))
+    b = draw(st.integers(1, 5))
+    # Gaussian entries make every last bit of a sum depend on its order
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    entries = rng.standard_normal((b, k, n)) * 10.0 ** draw(st.integers(-3, 3))
+    if field == "complex":
+        entries = entries + 1j * rng.standard_normal((b, k, n))
+    entries[rng.random((b, k, n)) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = 0.0
+    members = [_layouts(e)[draw(st.integers(0, 3))] for e in entries]
+    stack = np.stack(members)
+    stack = draw(st.sampled_from([stack, np.asfortranarray(stack),
+                                  np.stack(members[::-1])[::-1]]))
+    return field, members, stack
+
+
+# F-ordered stack of 1 x 9 forms: the walk sums a strided view of the input
+# over the 9 rows, in another order unless the table is made contiguous
+_ONE_ROW = 10.0 * np.random.default_rng(5).standard_normal((2, 1, 9))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_form_stacks(), st.sampled_from(_STACK_PAIRS), st.sampled_from([3, 4, 8]),
+       st.sampled_from([2, 4, None]))
+@example(("real", list(_ONE_ROW), np.asfortranarray(_ONE_ROW)), _STACK_PAIRS[0], 3, None)
+def test_batched_cores_match_public_functions(case, pair, m, cap):
+    # each member of a stack gets the bits the public function gives it
+    # alone, on the one-table path and across high digits (small caps)
+    field, members, stack = case
+    pair = ExponentPair.of(*pair)
+    sign_cap = cap or opnorm._SIGN_TABLE_CAP
+    root_cap = m ** (cap // 2) if cap else opnorm._ROOT_TABLE_CAP
+    with mock.patch.object(opnorm, "_SIGN_TABLE_CAP", sign_cap), \
+            mock.patch.object(opnorm, "_ROOT_TABLE_CAP", root_cap):
+        mixed = forms._mixed_norms(stack, pair)
+        real = opnorm._real_norms(stack) if field == "real" else None
+        grid = opnorm._grid_norms(stack, m) if stack.shape[-1] <= 4 else None
+        for i, member in enumerate(members):
+            form = BilinearForm(field, member)
+            assert mixed[i] == mixed_norm(form, pair).value
+            if real is not None:
+                assert real[i] == real_sup_norm(form)
+            if grid is not None:
+                assert grid[i] == complex_norm_discrete(form, m)
+                assert grid[i] / r_m(m) == complex_norm_bounds(form, m).upper
 
 
 class TestComplexNormDiscrete:

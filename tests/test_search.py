@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from litt43 import opnorm
 from litt43.errors import SerializationError
 from litt43.exponents import ExponentPair
 from litt43.forms import BilinearForm, mixed_norm
-from litt43.khinchin import CoefficientVector
-from litt43.opnorm import real_sup_norm
+from litt43.khinchin import (CoefficientVector, e_m_average, lr_norm, rademacher_average,
+                             steinhaus_expectation)
+from litt43.opnorm import complex_norm_bounds, real_sup_norm
 from litt43.search import (SearchConfig, SearchResult, checkpoint_load,
                            checkpoint_save, evaluate_witness,
                            maximize_khinchin_ratio, maximize_ratio)
@@ -224,3 +226,193 @@ class TestCheckpoints:
             ceiling=result.ceiling, ceiling_provenance=result.ceiling_provenance,
             restarts_run=result.restarts_run, improved_at=result.improved_at)
         assert tampered.falsification
+
+
+class _SerialReference:
+    """The climber one proposal per evaluation, through the public functions only.
+
+    This is the per-step loop the step windows must reproduce bit for bit:
+    noise drawn step by step from the restart's own stream, strict
+    improvement, the 0.95 decay and the bounded regrowth.
+    """
+
+    def __init__(self, kind, params):
+        self.kind, self.params = kind, params
+        if kind == "form_ratio":
+            self.field = params["field"]
+            self.pair = ExponentPair.of(params["a"], params["b"])
+        else:
+            self.field = "real" if params["model"] == "rademacher" else "complex"
+
+    def draw(self, rng, shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if self.field == "complex" else x
+
+    def normalize(self, x):
+        if self.kind == "form_ratio":
+            return x
+        norm = lr_norm(x, self.params["r"])
+        return x if norm == 0.0 else x / norm
+
+    def ratio(self, x):
+        p = self.params
+        if self.kind == "form_ratio":
+            form = BilinearForm(self.field, x)
+            numerator = mixed_norm(form, self.pair).value
+            if self.field == "real":
+                denominator = real_sup_norm(form)
+            else:
+                denominator = complex_norm_bounds(form, p["m"]).upper
+            return None if denominator < 1e-12 else numerator / denominator
+        numerator = lr_norm(x, p["r"])
+        if numerator == 0.0:
+            return None
+        if p["model"] == "rademacher":
+            average = rademacher_average(x).value
+        elif p["model"] == "e_m":
+            average = e_m_average(x, p["m"]).value
+        else:
+            average = steinhaus_expectation(x, method="quadrature", q=p["q"]).value
+        return None if average < 1e-12 * numerator else numerator / average
+
+    def final(self, x):
+        if self.kind != "form_ratio":
+            return self.ratio(x), None
+        form = BilinearForm(self.field, x)
+        numerator = mixed_norm(form, self.pair).value
+        if self.field == "real":
+            return numerator / real_sup_norm(form), None
+        bounds = complex_norm_bounds(form, self.params["m"], refine=True)
+        return numerator / bounds.upper, numerator / bounds.lower
+
+    def restart(self, cfg, restart):
+        rng = np.random.default_rng(cfg.seed + restart)
+        shape = cfg.dims if self.kind == "form_ratio" else (self.params["n"],)
+        x = self.normalize(self.draw(rng, shape))
+        current = self.ratio(x)
+        redraws = 0
+        while current is None and redraws < 100:
+            x = self.normalize(self.draw(rng, shape))
+            current = self.ratio(x)
+            redraws += 1
+        scale = cfg.scale
+        events = [(0, current)]
+        for step in range(1, cfg.steps + 1):
+            candidate = self.normalize(x + scale * self.draw(rng, x.shape))
+            value = self.ratio(candidate)
+            if value is not None and value > current:
+                x, current = candidate, value
+                scale = min(cfg.scale, scale / 0.95 ** 20)
+                events.append((step, current))
+            else:
+                scale *= 0.95
+        return x, events
+
+    def search(self, cfg):
+        best_x, best_value, improved_at = None, -math.inf, []
+        for restart in range(cfg.restarts):
+            x, events = self.restart(cfg, restart)
+            improved_here = False
+            for step, value in events:
+                if value > best_value:
+                    best_value = value
+                    improved_at.append((restart, step))
+                    improved_here = True
+            if improved_here:
+                best_x = x
+        best_ratio, optimistic = self.final(best_x)
+        return tuple(improved_at), best_ratio, optimistic, best_x
+
+
+_PAIR = ExponentPair.of("4/3", "4/3")
+_TRAJECTORIES = {
+    "real-1x1": lambda cfg, w: maximize_ratio("real", _PAIR, cfg, workers=w),
+    "real-2x2": lambda cfg, w: maximize_ratio("real", _PAIR, cfg, workers=w),
+    "real-3x5": lambda cfg, w: maximize_ratio("real", _PAIR, cfg, workers=w),
+    "real-8x8": lambda cfg, w: maximize_ratio("real", _PAIR, cfg, workers=w),
+    "real-12x12": lambda cfg, w: maximize_ratio("real", _PAIR, cfg, workers=w),
+    "complex-2x2-m8": lambda cfg, w: maximize_ratio("complex", _PAIR, cfg, m=8, workers=w),
+    "complex-3x3-m16": lambda cfg, w: maximize_ratio("complex", ExponentPair.of(1, 2), cfg,
+                                                     m=16, workers=w),
+    "rademacher-n1": lambda cfg, w: maximize_khinchin_ratio("rademacher", 2.0, 1, cfg,
+                                                            workers=w),
+    "rademacher-n4": lambda cfg, w: maximize_khinchin_ratio("rademacher", 2.0, 4, cfg,
+                                                            workers=w),
+    "rademacher-n8": lambda cfg, w: maximize_khinchin_ratio("rademacher", 3.0, 8, cfg,
+                                                            workers=w),
+    "e_m-n4-m3": lambda cfg, w: maximize_khinchin_ratio("e_m", 2.0, 4, cfg, m=3, workers=w),
+    "steinhaus-n3-q32": lambda cfg, w: maximize_khinchin_ratio("steinhaus", 2.0, 3, cfg,
+                                                               q=32, workers=w),
+}
+_DIMS = {"real-1x1": (1, 1), "real-3x5": (3, 5), "real-8x8": (8, 8),
+         "real-12x12": (12, 12), "complex-3x3-m16": (3, 3)}
+
+
+def _assert_matches_serial(case, steps, workers):
+    cfg = SearchConfig(restarts=2, steps=steps, scale=0.5, seed=17,
+                       dims=_DIMS.get(case, (2, 2)))
+    result = _TRAJECTORIES[case](cfg, workers)
+    reference = _SerialReference(result.kind, result.params)
+    improved_at, best_ratio, optimistic, best_x = reference.search(cfg)
+    assert result.improved_at == improved_at
+    assert result.best_ratio == best_ratio
+    assert result.optimistic_ratio == optimistic
+    witness = (result.witness.entries if isinstance(result.witness, BilinearForm)
+               else result.witness.values)
+    assert witness.tobytes() == np.asarray(best_x).tobytes()
+
+
+class TestStepWindows:
+    """The windowed climber against the per-step reference, bit for bit."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 63, 64, 65, 300])
+    @pytest.mark.parametrize("case", sorted(_TRAJECTORIES))
+    def test_matches_serial_trajectory(self, case, steps):
+        _assert_matches_serial(case, steps, workers=1)
+
+    @pytest.mark.parametrize("case", sorted(_TRAJECTORIES))
+    def test_matches_serial_trajectory_with_workers(self, case):
+        _assert_matches_serial(case, 65, workers=2)
+
+    @staticmethod
+    def _largest_batch(monkeypatch, search):
+        batches = []
+        partial_sums = opnorm._partial_sums
+
+        def spy(first, cols, points):
+            batches.append(first.shape[0])
+            return partial_sums(first, cols, points)
+
+        monkeypatch.setattr(opnorm, "_partial_sums", spy)
+        search()
+        return max(batches)
+
+    def test_cheap_objective_fills_the_window(self, monkeypatch):
+        cfg = SearchConfig(restarts=1, steps=200, scale=0.5, seed=3, dims=(2, 2))
+        assert self._largest_batch(
+            monkeypatch, lambda: maximize_ratio("real", _PAIR, cfg)) == 64
+
+    def test_expensive_objectives_step_one_proposal_at_a_time(self, monkeypatch):
+        # without the bound on table elements a window of 64 Steinhaus N = 6
+        # proposals builds 64 tables of 16^5 entries at once
+        cfg = SearchConfig(restarts=1, steps=3, scale=0.5, seed=3, dims=(1, 6))
+        assert self._largest_batch(monkeypatch, lambda: maximize_khinchin_ratio(
+            "steinhaus", 2.0, 6, cfg, q=16)) == 1
+        cfg = SearchConfig(restarts=1, steps=20, scale=0.5, seed=3, dims=(12, 12))
+        assert self._largest_batch(
+            monkeypatch, lambda: maximize_ratio("real", _PAIR, cfg)) == 1
+
+
+class TestBudgetSeconds:
+    def test_zero_budget_runs_exactly_one_restart(self):
+        # the serial path checks the wall-clock budget only between restarts
+        pair = ExponentPair.of("4/3", "4/3")
+        budget = SearchConfig(restarts=5, steps=100, scale=0.5, seed=8, dims=(2, 2),
+                              budget_seconds=0.0)
+        single = SearchConfig(restarts=1, steps=100, scale=0.5, seed=8, dims=(2, 2))
+        cut = maximize_ratio("real", pair, budget)
+        one = maximize_ratio("real", pair, single)
+        assert cut.restarts_run == 1
+        assert cut.best_ratio == one.best_ratio
+        assert cut.improved_at == one.improved_at
+        assert cut.witness.entries.tobytes() == one.witness.entries.tobytes()
