@@ -18,10 +18,9 @@ from .forms import (BilinearForm, MixedNormValue, form_from_json, form_to_json,
                     witness_a0)
 from .khinchin import (AverageResult, BleiBoundReport, CoefficientVector,
                        blei_bound_check, ceiling, e_m_average, khinchin_ratio, lr_norm,
-                       rademacher_average, rotation_invariance_check,
-                       steinhaus_expectation)
-from .opnorm import (RootsOfUnityGrid, TorusNormBounds, complex_norm_bounds,
-                     complex_norm_discrete, r_m, real_sup_norm)
+                       rademacher_average, steinhaus_expectation)
+from .opnorm import (TorusNormBounds, complex_norm_bounds, complex_norm_discrete, r_m,
+                     real_sup_norm)
 from .search import (SearchConfig, SearchResult, checkpoint_load,
                      checkpoint_save, evaluate_witness, maximize_khinchin_ratio,
                      maximize_ratio)
@@ -36,11 +35,11 @@ __all__ = [
     "real_constant", "complex_constant_bounds",
     "BilinearForm", "MixedNormValue", "mixed_norm", "transpose", "witness_a0",
     "random_form", "form_to_json", "form_from_json", "save_form", "load_form",
-    "RootsOfUnityGrid", "TorusNormBounds", "real_sup_norm",
+    "TorusNormBounds", "real_sup_norm",
     "complex_norm_discrete", "r_m", "complex_norm_bounds",
     "CoefficientVector", "AverageResult", "BleiBoundReport", "lr_norm",
     "rademacher_average", "khinchin_ratio", "e_m_average",
-    "rotation_invariance_check", "steinhaus_expectation", "blei_bound_check", "ceiling",
+    "steinhaus_expectation", "blei_bound_check", "ceiling",
     "SearchConfig", "SearchResult", "maximize_ratio", "maximize_khinchin_ratio",
     "evaluate_witness", "checkpoint_save", "checkpoint_load",
     "__version__",

@@ -33,8 +33,8 @@ import numpy as np
 
 from .errors import (CapacityError, InadmissibleExponentsError, InputParseError,
                      SerializationError, UndefinedRatioError)
-from .exponents import (Exponent, ExponentPair, admissible, classify_region,
-                        complex_constant_bounds, real_constant)
+from .exponents import (Exponent, ExponentPair, _reciprocal_grid, admissible,
+                        classify_region, complex_constant_bounds, real_constant)
 from .forms import load_form
 from .jsonio import canonical_dumps, format_float
 from .khinchin import (_ratio, ceiling, e_m_average, rademacher_average,
@@ -135,11 +135,10 @@ def _cmd_constant(args) -> int:
 def _region_rows(resolution: int):
     # inv_a/inv_b are re-derived from the stored exponents so that a row
     # re-parsed through `exponents` reproduces itself bit for bit
-    grid = [i / (resolution - 1) for i in range(resolution)]
-    for inv_a in grid:
-        for inv_b in grid:
-            a = Exponent(math.inf if inv_a == 0.0 else 1.0 / inv_a)
-            b = Exponent(math.inf if inv_b == 0.0 else 1.0 / inv_b)
+    _, ps = _reciprocal_grid(resolution)
+    for pa in ps:
+        for pb in ps:
+            a, b = Exponent(pa), Exponent(pb)
             pair = ExponentPair(a, b)
             region = classify_region(pair)
             if region.value == "R0":

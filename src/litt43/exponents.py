@@ -104,6 +104,12 @@ def _as_exponent(p) -> Exponent:
     return Exponent(float(p))
 
 
+def _reciprocal_grid(points: int):
+    """``points`` evenly spaced reciprocals 1/p on [0, 1], and the exponents p (1/0 is oo)."""
+    invs = [i / (points - 1) for i in range(points)]
+    return invs, [math.inf if inv == 0.0 else 1.0 / inv for inv in invs]
+
+
 def conjugate(p) -> Exponent:
     """The conjugate index p* with 1/p + 1/p* = 1.
 
@@ -133,9 +139,6 @@ class ExponentPair:
     def deficiency(self) -> float:
         """1/a + 1/b - 1, in [-1, 1]."""
         return self.a.reciprocal + self.b.reciprocal - 1.0
-
-    def swapped(self) -> "ExponentPair":
-        return ExponentPair(self.b, self.a)
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b})"

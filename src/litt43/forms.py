@@ -99,18 +99,25 @@ def _lp_fsum(vals: np.ndarray, p: float):
     return np.power(np.apply_along_axis(math.fsum, -1, np.power(vals, p)), 1.0 / p)
 
 
-def _mixed_norms(E: np.ndarray, pair: ExponentPair) -> np.ndarray:
-    """mixed_norm of each K x N matrix of the stack E (B, K, N), as (B,).
+def _unit_scaled(X: np.ndarray, axis):
+    """(top, |X| / top), top the largest magnitude over ``axis`` (kept as size-1 axes).
 
-    The stack is made C-contiguous first: numpy sums a contiguous row
-    pairwise but a strided one in sequence, so without it the last bits
-    would depend on the layout of the caller's array.
+    A zero top is sent to 1, so a zero array gets 1 * 0.  X is made
+    C-contiguous first: numpy sums a contiguous row pairwise but a strided
+    one in sequence, so without it the last bits of every norm taken from
+    the result would depend on the layout of the caller's array.
     """
-    mags = np.abs(np.ascontiguousarray(E))
-    top = mags.max(axis=(-2, -1))
-    top[top == 0.0] = 1.0  # a zero matrix then gets 1 * 0
+    mags = np.abs(np.ascontiguousarray(X))
+    top = mags.max(axis=axis, keepdims=True)
+    top[top == 0.0] = 1.0
+    return top, mags / top
+
+
+def _mixed_norms(E: np.ndarray, pair: ExponentPair) -> np.ndarray:
+    """mixed_norm of each K x N matrix of the stack E (B, K, N), as (B,)."""
+    top, scaled = _unit_scaled(E, (-2, -1))
     lp = _lp if E.shape[-2] * E.shape[-1] <= _COMPENSATED_SUM_THRESHOLD else _lp_fsum
-    return top * lp(lp(mags / top[..., None, None], pair.a.value), pair.b.value)
+    return top[..., 0, 0] * lp(lp(scaled, pair.a.value), pair.b.value)
 
 
 def mixed_norm(A: BilinearForm, pair: ExponentPair) -> MixedNormValue:
@@ -129,13 +136,9 @@ def _mixed_norm_grid(A: BilinearForm, inner, outer) -> np.ndarray:
     Exponents are floats in [1, oo].  Vectorized over the outer exponent,
     so a 20 x 20 grid costs 20 passes over the matrix, not 400.
     """
-    mags = np.abs(A.entries)
-    top = float(mags.max())
+    top, scaled = _unit_scaled(A.entries, (0, 1))
     outer = np.asarray(outer, dtype=np.float64)
-    out = np.zeros((len(inner), outer.size))
-    if top == 0.0:
-        return out
-    scaled = mags / top
+    out = np.empty((len(inner), outer.size))
     finite = np.isfinite(outer)
     for i, a in enumerate(inner):
         rows = _lp(scaled, a)

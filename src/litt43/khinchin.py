@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CapacityError, UndefinedRatioError
 from .exponents import TWO_OVER_SQRT_PI, Exponent, _as_exponent
-from .forms import _lp
+from .forms import _lp, _unit_scaled
 from .opnorm import DEFAULT_EVAL_BUDGET, _walk, r_m
 
 __all__ = [
@@ -47,7 +47,6 @@ __all__ = [
     "rademacher_average",
     "khinchin_ratio",
     "e_m_average",
-    "rotation_invariance_check",
     "steinhaus_expectation",
     "blei_bound_check",
     "ceiling",
@@ -122,11 +121,9 @@ class BleiBoundReport:
 
 
 def _lr_norms(A: np.ndarray, r: Exponent) -> np.ndarray:
-    """lr_norm of each row of the stack A (B, N), as (B,); layout-free as _mixed_norms."""
-    mags = np.abs(np.ascontiguousarray(A))
-    top = mags.max(axis=-1)
-    top[top == 0.0] = 1.0  # a zero vector then gets 1 * 0
-    return top * _lp(mags / top[..., None], r.value)
+    """lr_norm of each row of the stack A (B, N), as (B,)."""
+    top, scaled = _unit_scaled(A, -1)
+    return top[..., 0] * _lp(scaled, r.value)
 
 
 def lr_norm(c: Coefficients, r) -> float:
@@ -203,27 +200,6 @@ def e_m_average(c: Coefficients, m: int,
                          error_bound=0.0, m=int(m))
 
 
-def rotation_invariance_check(c: Coefficients, m: int, shifts: Sequence[float],
-                              budget: int = DEFAULT_EVAL_BUDGET) -> bool:
-    """Whether the T_M average is unchanged by per-coordinate Omega_M rotations.
-
-    Shifts must themselves lie on Omega_M (within 1e-12 in angle); the two
-    averages are compared to 1e-12 relative.
-    """
-    a = _values(c)
-    shifts = np.asarray(shifts, dtype=np.float64)
-    if shifts.shape != (a.size,):
-        raise ValueError(f"expected {a.size} shifts, got shape {shifts.shape}")
-    step = 2.0 * math.pi / m
-    nearest = np.round(shifts / step) * step
-    if np.max(np.abs(shifts - nearest)) > 1e-12:
-        raise ValueError("shifts must be multiples of 2*pi/M (tolerance 1e-12)")
-    before = e_m_average(a, m, budget=budget).value
-    rotated = a.astype(np.complex128) * np.exp(1j * shifts)
-    after = e_m_average(rotated, m, budget=budget).value
-    return abs(after - before) <= 1e-12 * max(before, 1e-300)
-
-
 def _quadrature(A: np.ndarray, q: int, budget: int = DEFAULT_EVAL_BUDGET):
     """(value, error_bound) of the Steinhaus quadrature for each row of A (B, N)."""
     if A.shape[-1] > QUADRATURE_DIM_CAP:
@@ -256,7 +232,7 @@ def steinhaus_expectation(c: Coefficients, method: str = "quadrature",
         value, error = _quadrature(a[None], q, budget)
         return AverageResult(value=float(value[0]), kind="steinhaus", method="quadrature",
                              error_bound=float(error[0]))
-    if method in ("e_m_limit", "e_m-limit"):
+    if method == "e_m_limit":
         if schedule is None or len(schedule) < 2:
             raise ValueError("e_m_limit needs an increasing schedule of >= 2 values of M")
         ms = [int(m) for m in schedule]

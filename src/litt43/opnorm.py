@@ -34,7 +34,6 @@ from .errors import CapacityError
 from .forms import BilinearForm
 
 __all__ = [
-    "RootsOfUnityGrid",
     "TorusNormBounds",
     "real_sup_norm",
     "complex_norm_discrete",
@@ -51,20 +50,11 @@ DEFAULT_EVAL_BUDGET = 10**8
 _SIGN_TABLE_CAP = 1 << 14
 _ROOT_TABLE_CAP = 1 << 17
 
-
-@dataclass(frozen=True)
-class RootsOfUnityGrid:
-    """The M-th roots of unity exp(2*pi*i*j/M)."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValueError(f"grid order must be >= 2, got {self.m}")
-
-    @property
-    def points(self) -> np.ndarray:
-        return np.exp(2j * np.pi * np.arange(self.m) / self.m)
+# Coordinate phase ascent: sweep cap, relative gain that ends the sweeps,
+# and the golden-section bracket width in radians.
+_ASCENT_SWEEPS = 200
+_ASCENT_REL_TOL = 1e-12
+_ASCENT_ANGLE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -95,7 +85,11 @@ class TorusNormBounds:
         return self.upper - self.lower
 
 
-_SIGNS = np.array([1.0, -1.0])  # Omega_2, exactly
+def _roots(m: int) -> np.ndarray:
+    """The M-th roots of unity exp(2*pi*i*j/M); exactly the real +-1 for M = 2."""
+    if m == 2:
+        return np.array([1.0, -1.0])
+    return np.exp(2j * np.pi * np.arange(m) / m)
 
 
 def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -131,7 +125,7 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce) -
     ``np.unravel_index(g, (M,) * L, order="F")`` (column 0 least
     significant).  Returns the list of reductions, in block order.
     """
-    points = _SIGNS if m == 2 else RootsOfUnityGrid(m).points
+    points = _roots(m)
     low = cols.shape[-1]
     while low > 1 and m ** low > table_cap:
         low -= 1
@@ -221,9 +215,7 @@ def r_m(m) -> float:
     return math.sqrt(0.5 + 0.5 * math.cos(2.0 * math.pi / m))
 
 
-def _coordinate_phase_ascent(entries: np.ndarray, y: np.ndarray,
-                             max_sweeps: int = 200, rel_tol: float = 1e-12,
-                             angle_tol: float = 1e-12) -> float:
+def _coordinate_phase_ascent(entries: np.ndarray, y: np.ndarray) -> float:
     """Sweep coordinates, moving each phase to a 1-D maximizer; monotone.
 
     Each candidate phase comes from a dense angle grid followed by
@@ -239,7 +231,7 @@ def _coordinate_phase_ascent(entries: np.ndarray, y: np.ndarray,
     grid = 2.0 * np.pi * np.arange(64) / 64.0
     phases = np.exp(1j * grid)
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    for _ in range(max_sweeps):
+    for _ in range(_ASCENT_SWEEPS):
         previous = value
         for j in range(n):
             aj = entries[:, j]
@@ -263,7 +255,7 @@ def _coordinate_phase_ascent(entries: np.ndarray, y: np.ndarray,
                 x1 = hi - invphi * (hi - lo)
                 x2 = lo + invphi * (hi - lo)
                 f1, f2 = objective(x1), objective(x2)
-                while hi - lo > angle_tol:
+                while hi - lo > _ASCENT_ANGLE_TOL:
                     if f1 < f2:
                         lo, x1, f1 = x1, x2, f2
                         x2 = lo + invphi * (hi - lo)
@@ -278,7 +270,7 @@ def _coordinate_phase_ascent(entries: np.ndarray, y: np.ndarray,
                 y[j] = np.exp(1j * theta)
                 s = c + aj * y[j]
                 value = candidate
-        if value - previous <= rel_tol * max(value, 1.0):
+        if value - previous <= _ASCENT_REL_TOL * max(value, 1.0):
             break
     return value
 
@@ -302,7 +294,7 @@ def complex_norm_bounds(A: BilinearForm, m: int, refine: bool = False,
         free = A.cols - 1
         digits = np.unravel_index(h * (m ** free // len(blocks)) + t, (m,) * free,
                                   order="F")
-        y = np.concatenate(([1.0 + 0.0j], RootsOfUnityGrid(m).points[list(digits)]))
+        y = np.concatenate(([1.0 + 0.0j], _roots(m)[list(digits)]))
         lower = max(lower, _coordinate_phase_ascent(A.entries.astype(np.complex128), y))
     upper = discrete / factor
     # feasible ascent cannot mathematically exceed ||A|| <= upper; guard

@@ -47,7 +47,7 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Optional, Union
 
@@ -163,7 +163,6 @@ class _FormObjective(_Objective):
         self.field = params["field"]
         self.pair = ExponentPair.of(params["a"], params["b"])
         self.m = int(params.get("m") or 0)
-        self.norm_budget = int(params.get("norm_budget", DEFAULT_EVAL_BUDGET))
 
     def shape(self, dims) -> tuple:
         return tuple(dims)
@@ -184,7 +183,7 @@ class _FormObjective(_Objective):
             denominators = _real_norms(X)
         else:
             # pessimistic ratio: divide by the certified upper bound
-            denominators = _grid_norms(X, self.m, self.norm_budget) / r_m(self.m)
+            denominators = _grid_norms(X, self.m) / r_m(self.m)
         return [math.nan if d < 1e-12 else n / d
                 for n, d in zip(numerators.tolist(), denominators.tolist())]
 
@@ -194,7 +193,7 @@ class _FormObjective(_Objective):
         numerator = mixed_norm(form, self.pair).value
         if self.field == "real":
             return numerator / real_sup_norm(form), None
-        bounds = complex_norm_bounds(form, self.m, refine=True, budget=self.norm_budget)
+        bounds = complex_norm_bounds(form, self.m, refine=True)
         return numerator / bounds.upper, numerator / bounds.lower
 
     def witness(self, x):
@@ -221,7 +220,6 @@ class _KhinchinObjective(_Objective):
         self.n = int(params["n"])
         self.m = int(params.get("m") or 0)
         self.q = int(params.get("q") or 0)
-        self.budget = int(params.get("term_budget", DEFAULT_EVAL_BUDGET))
         if self.model not in ("rademacher", "e_m", "steinhaus"):
             raise ValueError(f"unknown model {self.model!r}")
         self.field = "real" if self.model == "rademacher" else "complex"
@@ -243,8 +241,8 @@ class _KhinchinObjective(_Objective):
         if self.model == "rademacher":
             return _rademacher_means(X)
         if self.model == "e_m":
-            return _mean_abs(X, self.m, self.budget)
-        return _quadrature(X, self.q, self.budget)[0]
+            return _mean_abs(X, self.m, DEFAULT_EVAL_BUDGET)
+        return _quadrature(X, self.q)[0]
 
     def ratios(self, X) -> list:
         return [math.nan if n == 0.0 or a < 1e-12 * n else n / a
@@ -273,9 +271,8 @@ def _make_objective(kind: str, params: dict):
 # ---------------------------------------------------------------------------
 
 def _run_restart(args):
-    kind, params, cfg_dict, restart = args
+    kind, params, cfg, restart = args
     objective = _make_objective(kind, params)
-    cfg = SearchConfig(**cfg_dict)
     rng = np.random.default_rng(cfg.seed + restart)
     shape = objective.shape(cfg.dims)
     current = None
@@ -329,21 +326,22 @@ def _search(kind: str, params: dict, cfg: SearchConfig, workers: int = 1,
             falsification_path=None) -> SearchResult:
     objective = _make_objective(kind, params)
     ceiling, provenance = objective.ceiling()
-    cfg_dict = {"restarts": cfg.restarts, "steps": cfg.steps, "scale": cfg.scale,
-                "seed": cfg.seed, "dims": cfg.dims, "budget_seconds": cfg.budget_seconds}
-    jobs = [(kind, params, cfg_dict, i) for i in range(cfg.restarts)]
-    if workers > 1:
-        # wall-clock budgets are honored only by the serial path
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_restart, jobs))
-    else:
-        outcomes = []
-        deadline = (time.monotonic() + cfg.budget_seconds
-                    if cfg.budget_seconds is not None else None)
-        for job in jobs:
-            outcomes.append(_run_restart(job))
+    jobs = [(kind, params, cfg, i) for i in range(cfg.restarts)]
+    deadline = (time.monotonic() + cfg.budget_seconds
+                if cfg.budget_seconds is not None else None)
+    # outcomes arrive in restart order, serially or from the pool; once an
+    # outcome finds the wall-clock budget spent, the later restarts are
+    # dropped (the pool cancels those it has not started)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    outcomes = []
+    try:
+        for outcome in (pool.map if pool else map)(_run_restart, jobs):
+            outcomes.append(outcome)
             if deadline is not None and time.monotonic() > deadline:
                 break
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     # deterministic merge in restart order; within a restart values are
     # monotone, so a restart that ever improves the global best ends holding it
     best_x = None
@@ -451,16 +449,11 @@ def _witness_from_json(kind: str, doc: dict):
 def checkpoint_save(result: SearchResult, path) -> None:
     """Serialize a SearchResult as canonical JSON, atomically (write + rename)."""
     witness_kind, witness_doc = _witness_to_json(result.witness)
-    cfg = result.config
     doc = {
         "version": _CHECKPOINT_VERSION,
         "kind": result.kind,
         "params": result.params,
-        "config": {
-            "restarts": cfg.restarts, "steps": cfg.steps, "scale": cfg.scale,
-            "seed": cfg.seed, "dims": list(cfg.dims),
-            "budget_seconds": cfg.budget_seconds,
-        },
+        "config": asdict(result.config),
         "best_ratio": result.best_ratio,
         "optimistic_ratio": result.optimistic_ratio,
         "ceiling": result.ceiling,

@@ -21,7 +21,7 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from . import __version__
-from .exponents import ExponentPair, classify_region, conjugate
+from .exponents import ExponentPair, _reciprocal_grid, classify_region, conjugate
 from .forms import (BilinearForm, _mixed_norm_grid, form_from_json, form_to_json,
                     mixed_norm, random_form, transpose, witness_a0)
 from .jsonio import canonical_dumps
@@ -31,7 +31,7 @@ from .opnorm import complex_norm_bounds, complex_norm_discrete, r_m, real_sup_no
 from .search import (SearchConfig, checkpoint_load, checkpoint_save,
                      maximize_khinchin_ratio, maximize_ratio)
 
-__all__ = ["CheckResult", "run_suite", "CHECK_NAMES", "FAST_PRESET", "FULL_PRESET"]
+__all__ = ["CheckResult", "run_suite", "CHECK_NAMES", "FAST_PRESET"]
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -44,12 +44,6 @@ class CheckResult:
     details: dict
 
 
-def _inverse_grid(points: int):
-    """Evenly spaced reciprocal exponents on [0, 1], and the exponents (0 is oo)."""
-    invs = np.arange(points, dtype=np.float64) / (points - 1)
-    return invs, [math.inf if inv == 0.0 else 1.0 / inv for inv in invs]
-
-
 # ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
@@ -60,7 +54,7 @@ def check_witness_sharpness(seed: int, grid: int = 20,
     tol = 1e-12
     a0 = witness_a0("real")
     norm = real_sup_norm(a0)
-    invs, ps = _inverse_grid(grid)
+    invs, ps = _reciprocal_grid(grid)
     norms = _mixed_norm_grid(a0, ps, ps)
     worst = 0.0
     count = 0
@@ -91,10 +85,10 @@ def check_real_upper_bound(seed: int, forms_per_shape: int = 1000,
                            ceiling_scale: float = 1.0) -> CheckResult:
     """No random form beats the ceiling 2^max(0, 1/a+1/b-1) anywhere on the grid."""
     slack = 1e-9
-    invs, ps = _inverse_grid(grid)
-    admissible = (invs[:, None] + invs[None, :]) <= 1.5
-    ceilings = np.power(2.0, np.maximum(0.0, invs[:, None] + invs[None, :] - 1.0))
-    ceilings = ceilings * ceiling_scale
+    invs, ps = _reciprocal_grid(grid)
+    sums = np.add.outer(invs, invs)
+    admissible = sums <= 1.5
+    ceilings = np.power(2.0, np.maximum(0.0, sums - 1.0)) * ceiling_scale
     min_margin = math.inf
     checked = 0
     rng_index = 0
@@ -425,22 +419,6 @@ FAST_PRESET: Dict[str, dict] = {
     "roundtrips": {},
 }
 
-FULL_PRESET: Dict[str, dict] = {
-    "witness_sharpness": {"grid": 20},
-    "real_upper_bound": {"forms_per_shape": 1000, "shapes": (2, 4, 8, 12), "grid": 20},
-    "lemma_ceilings": {"forms": 1000},
-    "search_sharpness": {"restarts": 50, "steps": 2000},
-    "khinchin_sharpness": {"samples": 10000, "max_n": 16, "search_restarts": 20,
-                           "search_steps": 5000},
-    "steinhaus_closed_form": {"quad_nodes": 512, "limit_top": 512,
-                              "vectors": 20, "max_n": 4},
-    "torus_sandwich": {"forms": 100, "m_values": (3, 4, 6, 8, 12)},
-    "blei_khinchine": {"vectors": 300, "max_n": 6, "search_restarts": 6,
-                       "search_steps": 200, "m_values": (2, 3, 4, 8, 16)},
-    "steinhaus_sharp_point": {"max_n": 6, "restarts": 6, "steps": 300},
-    "roundtrips": {},
-}
-
 # Seed offset of each check by name, frozen at its registry position when
 # seeds were positional, so adding or removing a check re-seeds no other.
 _SEED_OFFSETS: Dict[str, int] = {name: i * 104729 for i, name in enumerate((
@@ -453,10 +431,8 @@ def run_suite(suite: str = "fast", seed: int = 1,
               overrides: Optional[Dict[str, float]] = None,
               only: Optional[list] = None) -> dict:
     """Run a verification suite; returns the (canonically serializable) report."""
-    presets = {"fast": FAST_PRESET, "full": FULL_PRESET}
-    if suite not in presets:
+    if suite not in ("fast", "full"):
         raise ValueError(f"unknown suite {suite!r}; use 'fast' or 'full'")
-    preset = presets[suite]
     overrides = dict(overrides or {})
     unknown = set(overrides) - set(_CHECKS)
     if unknown:
@@ -465,7 +441,8 @@ def run_suite(suite: str = "fast", seed: int = 1,
     for name, fn in _CHECKS.items():
         if only is not None and name not in only:
             continue
-        kwargs = dict(preset[name])
+        # the full suite runs every check at its defaults
+        kwargs = dict(FAST_PRESET[name]) if suite == "fast" else {}
         kwargs["ceiling_scale"] = float(overrides.get(name, 1.0))
         check = fn(seed=seed + _SEED_OFFSETS[name], **kwargs)
         results.append(check)

@@ -176,6 +176,20 @@ class TestGridHelper:
         form = BilinearForm("real", np.zeros((2, 2)))
         assert np.all(_mixed_norm_grid(form, ps, ps) == 0.0)
 
+    def test_layout_free(self):
+        # a form keeps an F-ordered caller's layout; the grid must still sum
+        # as for the C-ordered copy (rows of 13 reach pairwise summation)
+        rng = np.random.default_rng(31)
+        ps = [4.0 / 3.0, 2.0, 3.0, math.inf, 1.0]
+        for _ in range(200):
+            entries = rng.standard_normal((5, 13))
+            strided = np.zeros((10, 39))
+            strided[::2, ::3] = entries
+            expected = _mixed_norm_grid(BilinearForm("real", entries.copy(order="C")), ps, ps)
+            for layout in (np.asfortranarray(entries), strided[::2, ::3]):
+                grid = _mixed_norm_grid(BilinearForm("real", layout), ps, ps)
+                assert grid.tobytes() == expected.tobytes()
+
 
 class TestTranspose:
     def test_witness_is_symmetric(self):

@@ -11,8 +11,8 @@ from litt43 import forms, opnorm
 from litt43.errors import CapacityError
 from litt43.exponents import ExponentPair, conjugate
 from litt43.forms import BilinearForm, mixed_norm, random_form, transpose, witness_a0
-from litt43.opnorm import (REAL_ENUM_CAP, RootsOfUnityGrid, complex_norm_bounds,
-                           complex_norm_discrete, r_m, real_sup_norm)
+from litt43.opnorm import (REAL_ENUM_CAP, complex_norm_bounds, complex_norm_discrete, r_m,
+                           real_sup_norm)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -41,17 +41,8 @@ def naive_complex_grid_norm(entries, m):
     return best
 
 
-class TestGridTypes:
-    def test_roots_of_unity_invariants(self):
-        grid = RootsOfUnityGrid(12)
-        assert np.allclose(np.abs(grid.points), 1.0, atol=1e-15)
-        assert len(set(np.round(grid.points, 12))) == 12
-        with pytest.raises(ValueError):
-            RootsOfUnityGrid(1)
-
-
 def _points(m):
-    return np.array([1.0, -1.0]) if m == 2 else RootsOfUnityGrid(m).points
+    return np.array([1.0, -1.0]) if m == 2 else np.exp(2j * np.pi * np.arange(m) / m)
 
 
 class TestWalkHighDigits:

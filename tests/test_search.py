@@ -405,12 +405,25 @@ class TestStepWindows:
 
 class TestBudgetSeconds:
     def test_zero_budget_runs_exactly_one_restart(self):
-        # the serial path checks the wall-clock budget only between restarts
+        # the wall-clock budget is checked only between restarts
         pair = ExponentPair.of("4/3", "4/3")
         budget = SearchConfig(restarts=5, steps=100, scale=0.5, seed=8, dims=(2, 2),
                               budget_seconds=0.0)
         single = SearchConfig(restarts=1, steps=100, scale=0.5, seed=8, dims=(2, 2))
         cut = maximize_ratio("real", pair, budget)
+        one = maximize_ratio("real", pair, single)
+        assert cut.restarts_run == 1
+        assert cut.best_ratio == one.best_ratio
+        assert cut.improved_at == one.improved_at
+        assert cut.witness.entries.tobytes() == one.witness.entries.tobytes()
+
+    def test_zero_budget_runs_exactly_one_restart_with_workers(self):
+        # the pool checks the budget after each restart, in restart order
+        pair = ExponentPair.of("4/3", "4/3")
+        budget = SearchConfig(restarts=5, steps=100, scale=0.5, seed=8, dims=(2, 2),
+                              budget_seconds=0.0)
+        single = SearchConfig(restarts=1, steps=100, scale=0.5, seed=8, dims=(2, 2))
+        cut = maximize_ratio("real", pair, budget, workers=2)
         one = maximize_ratio("real", pair, single)
         assert cut.restarts_run == 1
         assert cut.best_ratio == one.best_ratio
