@@ -130,20 +130,21 @@ def mixed_norm(A: BilinearForm, pair: ExponentPair) -> MixedNormValue:
     return MixedNormValue(float(_mixed_norms(A.entries[None], pair)[0]), pair)
 
 
-def _mixed_norm_grid(A: BilinearForm, inner, outer) -> np.ndarray:
-    """mixed_norm(A, (a, b)).value for each a in ``inner`` (rows), b in ``outer``.
+def _mixed_norm_grid(E: np.ndarray, inner, outer) -> np.ndarray:
+    """mixed_norm(A, (a, b)).value for each matrix A of the stack E (B, K, N),
+    each a in ``inner`` and each b in ``outer``, as (B, I, O).
 
     Exponents are floats in [1, oo].  Vectorized over the outer exponent,
-    so a 20 x 20 grid costs 20 passes over the matrix, not 400.
+    so a 20 x 20 grid costs 20 passes over the stack, not 400.
     """
-    top, scaled = _unit_scaled(A.entries, (0, 1))
+    top, scaled = _unit_scaled(E, (-2, -1))
     outer = np.asarray(outer, dtype=np.float64)
-    out = np.empty((len(inner), outer.size))
+    out = np.empty((E.shape[0], len(inner), outer.size))
     finite = np.isfinite(outer)
     for i, a in enumerate(inner):
         rows = _lp(scaled, a)
-        out[i, ~finite] = rows.max()
-        out[i, finite] = _lp(rows, outer[finite, None])
+        out[:, i, ~finite] = rows.max(axis=-1)[:, None]
+        out[:, i, finite] = _lp(rows[:, None, :], outer[finite, None])
     return top * out
 
 

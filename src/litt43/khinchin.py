@@ -131,8 +131,8 @@ def lr_norm(c: Coefficients, r) -> float:
     return float(_lr_norms(_values(c)[None], _as_exponent(r))[0])
 
 
-def _block_abs_sum(block: np.ndarray) -> np.ndarray:
-    return np.abs(block).sum(axis=(-2, -1))
+def _block_sum(mods: np.ndarray) -> np.ndarray:
+    return mods.sum(axis=(-2, -1))
 
 
 def _mean_abs(A: np.ndarray, m: int, budget: Optional[int] = None) -> np.ndarray:
@@ -148,7 +148,7 @@ def _mean_abs(A: np.ndarray, m: int, budget: Optional[int] = None) -> np.ndarray
             f"Omega_{m}^{n} averaging needs {terms} terms (after fixing the "
             f"global phase) but the budget is {budget}"
         )
-    sums = _walk(A[..., -1:], A[..., None, :-1], m, _TABLE_CAP, _block_abs_sum)
+    sums = _walk(A[..., -1:], A[..., None, :-1], m, _TABLE_CAP, _block_sum)
     # fsum of a single block sum is that sum, bit for bit
     totals = sums[0] if len(sums) == 1 else np.array([math.fsum(row) for row in zip(*sums)])
     return totals / terms

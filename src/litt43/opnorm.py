@@ -111,7 +111,7 @@ def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np
 
 
 def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce) -> list:
-    """Apply ``reduce`` to every block of the sums first + cols @ w, w in Omega_M^L.
+    """Apply ``reduce`` to every block of the moduli |first + cols @ w|, w in Omega_M^L.
 
     ``first`` (..., K) is the pinned column; the L columns of ``cols``
     (..., K, L) are multiplied by M-th roots of unity (exactly +-1 for
@@ -123,7 +123,9 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce) -
     on the batch size, so every member's sums associate as in a walk of its
     own.  Block h, column t holds pattern g = h * T + t, whose digits are
     ``np.unravel_index(g, (M,) * L, order="F")`` (column 0 least
-    significant).  Returns the list of reductions, in block order.
+    significant).  The high-digit blocks share one buffer, so ``reduce``
+    must not keep its argument.  Returns the list of reductions, in block
+    order.
     """
     points = _roots(m)
     low = cols.shape[-1]
@@ -131,17 +133,21 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce) -
         low -= 1
     table = _partial_sums(first, cols[..., :low], points)
     if low == cols.shape[-1]:
-        return [reduce(table)]
+        return [reduce(np.abs(table))]
     offsets = _partial_sums(np.zeros(first.shape), cols[..., low:], points)
-    return [reduce(table + offsets[..., h, None]) for h in range(offsets.shape[-1])]
+    # one buffer for every block, so no block faults fresh pages in
+    block = np.empty_like(table)
+    mods = block if block.dtype == np.float64 else np.empty(block.shape)
+    return [reduce(np.abs(np.add(table, offsets[..., h, None], out=block), out=mods))
+            for h in range(offsets.shape[-1])]
 
 
-def _block_max(block: np.ndarray) -> np.ndarray:
-    return np.abs(block).sum(axis=-2).max(axis=-1)
+def _block_max(mods: np.ndarray) -> np.ndarray:
+    return mods.sum(axis=-2).max(axis=-1)
 
 
-def _block_argmax(block: np.ndarray):
-    sums = np.abs(block).sum(axis=-2)
+def _block_argmax(mods: np.ndarray):
+    sums = mods.sum(axis=-2)
     t = np.argmax(sums, axis=-1)
     return np.take_along_axis(sums, t[..., None], axis=-1)[..., 0], t
 
@@ -295,7 +301,9 @@ def complex_norm_bounds(A: BilinearForm, m: int, refine: bool = False,
         digits = np.unravel_index(h * (m ** free // len(blocks)) + t, (m,) * free,
                                   order="F")
         y = np.concatenate(([1.0 + 0.0j], _roots(m)[list(digits)]))
-        lower = max(lower, _coordinate_phase_ascent(A.entries.astype(np.complex128), y))
+        # C order: products with an F-ordered form sum in another order
+        lower = max(lower, _coordinate_phase_ascent(
+            np.ascontiguousarray(A.entries, dtype=np.complex128), y))
     upper = discrete / factor
     # feasible ascent cannot mathematically exceed ||A|| <= upper; guard
     # against rounding at the scale of the last digit only

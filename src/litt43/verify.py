@@ -21,19 +21,48 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from . import __version__
-from .exponents import ExponentPair, _reciprocal_grid, classify_region, conjugate
-from .forms import (BilinearForm, _mixed_norm_grid, form_from_json, form_to_json,
-                    mixed_norm, random_form, transpose, witness_a0)
+from .exponents import Exponent, ExponentPair, _reciprocal_grid, classify_region, conjugate
+from .forms import (BilinearForm, _mixed_norm_grid, _mixed_norms, form_from_json,
+                    form_to_json, mixed_norm, random_form, witness_a0)
 from .jsonio import canonical_dumps
-from .khinchin import (blei_bound_check, ceiling, e_m_average, khinchin_ratio, lr_norm,
-                       rademacher_average, steinhaus_expectation)
-from .opnorm import complex_norm_bounds, complex_norm_discrete, r_m, real_sup_norm
+from .khinchin import (_lr_norms, _mean_abs, _rademacher_means, blei_bound_check, ceiling,
+                       khinchin_ratio, lr_norm, steinhaus_expectation)
+from .opnorm import (_real_norms, complex_norm_bounds, complex_norm_discrete, r_m,
+                     real_sup_norm)
 from .search import (SearchConfig, checkpoint_load, checkpoint_save,
                      maximize_khinchin_ratio, maximize_ratio)
 
 __all__ = ["CheckResult", "run_suite", "CHECK_NAMES", "FAST_PRESET"]
 
 _SQRT2 = math.sqrt(2.0)
+
+# Table elements per batched kernel call: larger stacks fall out of cache
+# (full blei_khinchine: 0.55 s at 2^16-2^20, 0.67 s with no bound).
+_STACK_ELEMENTS = 1 << 18
+
+
+def _in_stacks(kernel, X: np.ndarray, elements: int) -> np.ndarray:
+    """kernel(X), at most _STACK_ELEMENTS // ``elements`` members (one at least)
+    per call; a batched kernel gives each member its batch-of-one bits."""
+    step = max(1, _STACK_ELEMENTS // elements)
+    return np.concatenate([kernel(X[i:i + step]) for i in range(0, len(X), step)])
+
+
+def _means_and_lr_norms(vectors: list, mean, m: int, r_values) -> list:
+    """[(mean(c), [lr_norm(c, r) for r in r_values]) for c in vectors], from
+    one stack per length N; ``mean`` averages over Omega_M^N."""
+    groups = {}
+    for i, c in enumerate(vectors):
+        groups.setdefault(c.size, []).append(i)
+    out = [None] * len(vectors)
+    for n, idx in groups.items():
+        stack = np.stack([vectors[i] for i in idx])
+        means = _in_stacks(mean, stack, m ** (n - 1)).tolist()
+        norms = [_in_stacks(lambda X: _lr_norms(X, Exponent(r)), stack, m ** (n - 1)).tolist()
+                 for r in r_values]
+        for j, i in enumerate(idx):
+            out[i] = means[j], [col[j] for col in norms]
+    return out
 
 
 @dataclass(frozen=True)
@@ -55,7 +84,7 @@ def check_witness_sharpness(seed: int, grid: int = 20,
     a0 = witness_a0("real")
     norm = real_sup_norm(a0)
     invs, ps = _reciprocal_grid(grid)
-    norms = _mixed_norm_grid(a0, ps, ps)
+    norms = _mixed_norm_grid(a0.entries[None], ps, ps)[0]
     worst = 0.0
     count = 0
     regions = set()
@@ -94,13 +123,15 @@ def check_real_upper_bound(seed: int, forms_per_shape: int = 1000,
     rng_index = 0
     for n in shapes:
         for dist in ("gaussian", "sign"):
-            for t in range(forms_per_shape):
-                form = random_form("real", n, n, dist, seed=seed + rng_index)
-                rng_index += 1
-                norm = real_sup_norm(form)
-                ratios = _mixed_norm_grid(form, ps, ps) / norm
-                margin = float((ceilings + slack - ratios)[admissible].min())
-                min_margin = min(min_margin, margin)
+            seeds = range(seed + rng_index, seed + rng_index + forms_per_shape)
+            stack = np.stack([random_form("real", n, n, dist, seed=s).entries for s in seeds])
+            rng_index += forms_per_shape
+            elements = n << (n - 1)
+            norms = _in_stacks(_real_norms, stack, elements)
+            grids = _in_stacks(lambda X: _mixed_norm_grid(X, ps, ps), stack, elements)
+            ratios = grids / norms[:, None, None]
+            for row in (ceilings + slack - ratios)[:, admissible]:
+                min_margin = min(min_margin, float(row.min()))
                 checked += 1
     return CheckResult(
         name="real_upper_bound", passed=min_margin >= 0.0, margin=min_margin,
@@ -114,26 +145,47 @@ def check_lemma_ceilings(seed: int, forms: int = 1000,
     slack = 1e-9
     a_values = [2.0, 3.0, 4.0, math.inf]
     mink_exponents = [1.0, 4.0 / 3.0, 2.0, 3.0, math.inf]
+    # b values of the interpolation inequality at each finite a; they
+    # include 1 and a*, which cover every pair the other inequalities read
+    interp_b = {a: (1.0, 0.5 * (1.0 + conjugate(a).value), conjugate(a).value)
+                for a in a_values[:-1]}
+    mink_pairs = [(a, b) for ia, a in enumerate(mink_exponents) for b in mink_exponents[ia:]]
+    # (a, b, side): the mixed norm of each form (side 0) or its transpose (1)
+    keys = {(math.inf, 1.0, 0), (2.0, 2.0, 0), *((a, b, 0) for a, b in mink_pairs),
+            *((b, a, 1) for a, b in mink_pairs),
+            *((a, b, 0) for a, bs in interp_b.items() for b in bs)}
+    shapes = {}
+    for t in range(forms):
+        shapes.setdefault((2 + (t % 7), 2 + ((t * 3 + 1) % 7)), []).append(t)
+    values = [None] * forms  # per form, every value the inequalities read
+    for (k, n), ts in shapes.items():
+        stack = np.stack([random_form("real", k, n, "gaussian" if t % 2 == 0 else "sign",
+                                      seed=seed + t).entries for t in ts])
+        elements = max(k, n) << (min(k, n) - 1)
+        cols = {"norm": _in_stacks(_real_norms, stack, elements).tolist()}
+        for a, b, side in keys:
+            pair = ExponentPair.of(a, b)
+            cols[a, b, side] = _in_stacks(lambda X: _mixed_norms(X, pair),
+                                          np.swapaxes(stack, -1, -2) if side else stack,
+                                          elements).tolist()
+        for i, t in enumerate(ts):
+            values[t] = {key: col[i] for key, col in cols.items()}
     min_margin = math.inf
     worst_kind = ""
-    for t in range(forms):
-        k = 2 + (t % 7)
-        n = 2 + ((t * 3 + 1) % 7)
-        dist = "gaussian" if t % 2 == 0 else "sign"
-        form = random_form("real", k, n, dist, seed=seed + t)
-        norm = real_sup_norm(form)
-        sup_row = mixed_norm(form, ExponentPair.of(math.inf, 1.0)).value
-        frob = mixed_norm(form, ExponentPair.of(2.0, 2.0)).value
 
-        def note(kind, margin):
-            nonlocal min_margin, worst_kind
-            if margin < min_margin:
-                min_margin, worst_kind = margin, kind
+    def note(kind, margin):
+        nonlocal min_margin, worst_kind
+        if margin < min_margin:
+            min_margin, worst_kind = margin, kind
 
+    for v in values:
+        norm = v["norm"]
+        sup_row = v[math.inf, 1.0, 0]
+        frob = v[2.0, 2.0, 0]
         for a in a_values:
             a_star = conjugate(a).value
-            m_a1 = mixed_norm(form, ExponentPair.of(a, 1.0)).value
-            m_aas = mixed_norm(form, ExponentPair.of(a, a_star)).value
+            m_a1 = v[a, 1.0, 0]
+            m_aas = v[a, a_star, 0]
             inv_a = 0.0 if math.isinf(a) else 1.0 / a
             note("row_sum", (2.0 ** inv_a) * norm * ceiling_scale + slack - m_a1)
             note("conjugate_outer", norm * ceiling_scale + slack - m_aas)
@@ -142,18 +194,13 @@ def check_lemma_ceilings(seed: int, forms: int = 1000,
                 note("interp_theta0",
                      (sup_row ** theta0) * (frob ** (1.0 - theta0)) * ceiling_scale
                      + slack - m_aas)
-                for b in (1.0, 0.5 * (1.0 + a_star), a_star):
+                for b in interp_b[a]:
                     theta1 = 1.0 - a + a / b
-                    m_ab = mixed_norm(form, ExponentPair.of(a, b)).value
                     note("interp_theta1",
                          (m_a1 ** theta1) * (m_aas ** (1.0 - theta1)) * ceiling_scale
-                         + slack - m_ab)
-        tform = transpose(form)
-        for ia, a in enumerate(mink_exponents):
-            for b in mink_exponents[ia:]:
-                lhs = mixed_norm(form, ExponentPair.of(a, b)).value
-                rhs = mixed_norm(tform, ExponentPair.of(b, a)).value
-                note("minkowski_transpose", rhs * ceiling_scale + slack - lhs)
+                         + slack - v[a, b, 0])
+        for a, b in mink_pairs:
+            note("minkowski_transpose", v[b, a, 1] * ceiling_scale + slack - v[a, b, 0])
     return CheckResult(
         name="lemma_ceilings", passed=min_margin >= 0.0, margin=min_margin,
         details={"forms": forms, "tightest": worst_kind})
@@ -186,7 +233,7 @@ def check_khinchin_sharpness(seed: int, samples: int = 10000, max_n: int = 16,
     for r, top in zip(r_values, ceilings):
         worst_exact = max(worst_exact, abs(khinchin_ratio([1.0, 1.0], r) - top))
     rng = np.random.default_rng(seed)
-    min_margin = math.inf
+    vectors = []
     for t in range(samples):
         n = int(rng.integers(1, max_n + 1))
         kind = t % 3
@@ -198,9 +245,11 @@ def check_khinchin_sharpness(seed: int, samples: int = 10000, max_n: int = 16,
             c = rng.standard_normal(n) * (rng.random(n) < 0.5)
         if not np.any(c):
             c[0] = 1.0
-        denom = rademacher_average(c).value
-        for r, top in zip(r_values, ceilings):
-            ratio = lr_norm(c, r) / denom
+        vectors.append(c)
+    min_margin = math.inf
+    for denom, lrs in _means_and_lr_norms(vectors, _rademacher_means, 2, r_values):
+        for lr, top in zip(lrs, ceilings):
+            ratio = lr / denom
             min_margin = min(min_margin, top * ceiling_scale + exact_tol - ratio)
     searched = maximize_khinchin_ratio(
         "rademacher", 2.0, 8,
@@ -286,12 +335,14 @@ def check_blei_khinchine(seed: int, vectors: int = 300, max_n: int = 6,
     rng = np.random.default_rng(seed)
     for m in m_values:
         ceilings = {r: ceiling("e_m", r, m)[0] for r in r_values}
-        for t in range(vectors):
+        drawn = []
+        for _ in range(vectors):
             n = int(rng.integers(2, max_n + 1))
-            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            denom = e_m_average(c, m).value
-            for r in r_values:
-                ratio = lr_norm(c, r) / denom
+            drawn.append(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+        for denom, lrs in _means_and_lr_norms(drawn, lambda X: _mean_abs(X, m), m,
+                                              r_values):
+            for r, lr in zip(r_values, lrs):
+                ratio = lr / denom
                 min_margin = min(min_margin, ceilings[r] * ceiling_scale + slack - ratio)
         searched = maximize_khinchin_ratio(
             "e_m", 2.0, 4 if m >= 8 else max_n,

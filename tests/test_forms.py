@@ -165,7 +165,7 @@ class TestGridHelper:
         ps = [math.inf if inv == 0 else 1 / inv for inv in invs]
         for _ in range(6):
             form = BilinearForm("real", rng.standard_normal((4, 5)))
-            grid = _mixed_norm_grid(form, ps, ps)
+            grid = _mixed_norm_grid(form.entries[None], ps, ps)[0]
             for i, a in enumerate(ps):
                 for j, b in enumerate(ps):
                     assert grid[i, j] == pytest.approx(
@@ -174,7 +174,7 @@ class TestGridHelper:
     def test_zero_matrix(self):
         ps = [math.inf, 2.0, 1.0]
         form = BilinearForm("real", np.zeros((2, 2)))
-        assert np.all(_mixed_norm_grid(form, ps, ps) == 0.0)
+        assert np.all(_mixed_norm_grid(form.entries[None], ps, ps) == 0.0)
 
     def test_layout_free(self):
         # a form keeps an F-ordered caller's layout; the grid must still sum
@@ -185,9 +185,10 @@ class TestGridHelper:
             entries = rng.standard_normal((5, 13))
             strided = np.zeros((10, 39))
             strided[::2, ::3] = entries
-            expected = _mixed_norm_grid(BilinearForm("real", entries.copy(order="C")), ps, ps)
+            expected = _mixed_norm_grid(
+                BilinearForm("real", entries.copy(order="C")).entries[None], ps, ps)
             for layout in (np.asfortranarray(entries), strided[::2, ::3]):
-                grid = _mixed_norm_grid(BilinearForm("real", layout), ps, ps)
+                grid = _mixed_norm_grid(BilinearForm("real", layout).entries[None], ps, ps)
                 assert grid.tobytes() == expected.tobytes()
 
 

@@ -219,6 +219,49 @@ def test_batched_cores_match_public_functions(case, r, m, small_cap):
                 assert (quad[0][i], quad[1][i]) == (result.value, result.error_bound)
 
 
+@pytest.mark.parametrize("writable", [False, True])
+def test_walk_leaves_one_coefficient_unchanged(writable):
+    # N = 1 leaves the walk no free column, so its table is a view of the
+    # caller's stack, which the walk's in-place moduli must not reach
+    stack = np.array([[-2.0], [-0.5]])
+    stack.setflags(write=writable)
+    assert np.array_equal(khinchin._rademacher_means(stack), [2.0, 0.5])
+    assert np.array_equal(khinchin._mean_abs(stack, 3), [2.0, 0.5])
+    assert np.array_equal(stack, [[-2.0], [-0.5]])
+    c = CoefficientVector("real", [-3.0])
+    assert rademacher_average(c).value == 3.0
+    assert c.values[0] == -3.0
+
+
+@st.composite
+def _exact_vectors(draw):
+    """One vector held exactly in single precision, as every layout of a
+    single- and a double-precision array, as a list and (when real) as complex."""
+    n = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    values = rng.standard_normal(n)
+    real = draw(st.booleans())
+    if not real:
+        values = values + 1j * rng.standard_normal(n)
+    single = values.astype(np.float32 if real else np.complex64)
+    double = single.astype(np.float64 if real else np.complex128)
+    return (_vector_layouts(single) + _vector_layouts(double)
+            + [double.tolist(), double.astype(np.complex128)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_exact_vectors(), st.sampled_from([2, 3, 4, 6]))
+def test_averages_ignore_layout_and_dtype(variants, m):
+    # the bits of every average depend on the numbers alone
+    results = set()
+    for c in variants:
+        quad = steinhaus_expectation(c, q=2 * m)
+        limit = steinhaus_expectation(c, method="e_m_limit", schedule=[m, 2 * m])
+        results.add((e_m_average(c, m).value, quad.value, quad.error_bound,
+                     limit.value, limit.error_bound))
+    assert len(results) == 1
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.sampled_from([2, 3, 4, 6, 8, 12]), st.integers(0, 2**32))
 def test_e_m_average_is_rotation_invariant(n, m, seed):

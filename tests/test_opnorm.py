@@ -286,6 +286,60 @@ def test_batched_cores_match_public_functions(case, pair, m, cap):
                 assert grid[i] / r_m(m) == complex_norm_bounds(form, m).upper
 
 
+_GRID_EXPONENTS = [math.inf, 4.0, 2.0, 4.0 / 3.0, 1.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_form_stacks())
+def test_grid_stack_members_match_batch_of_one(case):
+    # each member of a _mixed_norm_grid stack (C, F, strided or reversed,
+    # in a C, F or reversed stack) gets the bits of its own batch of one
+    _, members, stack = case
+    ps = _GRID_EXPONENTS
+    grids = forms._mixed_norm_grid(stack, ps, ps)
+    for i, member in enumerate(members):
+        alone = forms._mixed_norm_grid(member[None], ps, ps)[0]
+        assert grids[i].tobytes() == alone.tobytes()
+
+
+@pytest.mark.parametrize("writable", [False, True])
+def test_walk_leaves_inputs_without_free_columns_unchanged(writable):
+    # with no free column the walk's table is a view of the caller's
+    # array: moduli taken in place there would turn negative entries
+    # positive, or raise on a read-only form
+    stacks = [-np.arange(1.0, 4.0).reshape(1, 3, 1), np.full((2, 1, 1), -2.0)]
+    for stack in stacks:
+        stack.setflags(write=writable)
+        before = stack.copy()
+        assert np.array_equal(opnorm._real_norms(stack), np.abs(before).sum(axis=(-2, -1)))
+        assert np.array_equal(opnorm._grid_norms(stack, 3), np.abs(before).sum(axis=(-2, -1)))
+        assert np.array_equal(stack, before)
+    for shape in [(3, 1), (1, 1)]:
+        form = BilinearForm("real", -np.ones(shape))
+        assert real_sup_norm(form) == shape[0]
+        assert complex_norm_bounds(form, 4).discrete_norm == shape[0]
+        assert np.array_equal(form.entries, -np.ones(shape))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 5), st.sampled_from([3, 4, 8]), st.booleans(),
+       st.integers(0, 2**32))
+def test_refined_bounds_ignore_layout_and_dtype(k, n, m, real_valued, seed):
+    # entries held exactly in single precision, as every layout of a
+    # single- and a double-precision array (and, when real, as complex)
+    rng = np.random.default_rng(seed)
+    entries = rng.standard_normal((k, n))
+    if not real_valued:
+        entries = entries + 1j * rng.standard_normal((k, n))
+    single = entries.astype(np.float32 if real_valued else np.complex64)
+    double = single.astype(np.float64 if real_valued else np.complex128)
+    variants = _layouts(single) + _layouts(double) + [double.astype(np.complex128)]
+    results = {(b.lower, b.upper, b.discrete_norm)
+               for b in (complex_norm_bounds(BilinearForm("complex", e), m, refine=True)
+                         for e in variants)}
+    assert len(results) == 1
+
+
 class TestComplexNormDiscrete:
     def test_witness_m4(self):
         value = complex_norm_discrete(witness_a0("complex"), 4)

@@ -1,8 +1,12 @@
+from pathlib import Path
+
 import pytest
 
-from litt43 import verify
+from litt43 import cli, verify
 from litt43.verify import (FAST_PRESET, CHECK_NAMES, CheckResult, report_to_json,
                            run_suite)
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestSuitePlumbing:
@@ -59,3 +63,50 @@ class TestSteinhausSharpPoint:
         check = report["checks"][0]
         assert check["passed"], check
         assert check["details"]["per_dim"]["2"] == pytest.approx(1.1107206819, abs=1e-8)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_fast_report_matches_golden_bytes(seed, tmp_path, capsys):
+    # the committed reports predate the batched checks; any change to a
+    # report shows up here as a fixture diff (the full seed-1 report is
+    # compared the same way in CI, where its ~20 s fit)
+    path = tmp_path / "report.json"
+    assert cli.main(["verify", "--suite", "fast", "--seed", str(seed),
+                     "--report", str(path)]) == 0
+    assert path.read_bytes() == (DATA / f"verify-fast-seed{seed}.json").read_bytes()
+
+
+# Small presets of the checks that evaluate stacks of samples; each runs
+# at its fast seed-1 seed, where its search reaches the sharp ratio
+_BATCHED = {
+    "real_upper_bound": {"forms_per_shape": 6, "shapes": (1, 3, 5), "grid": 6},
+    "lemma_ceilings": {"forms": 21},
+    "khinchin_sharpness": {"samples": 90, "max_n": 7, "search_restarts": 6,
+                           "search_steps": 5000},
+    "blei_khinchine": {"vectors": 12, "max_n": 4, "search_restarts": 1,
+                       "search_steps": 10, "m_values": (2, 3)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHED))
+def test_stack_size_changes_no_result(name, monkeypatch):
+    # one member per kernel call against one call per group: margins bit
+    # for bit and equal details
+    check = verify._CHECKS[name]
+    results = []
+    for elements in (1, 1 << 40):
+        monkeypatch.setattr(verify, "_STACK_ELEMENTS", elements)
+        results.append(check(seed=1 + verify._SEED_OFFSETS[name], **_BATCHED[name]))
+    single, whole = results
+    assert single.margin.hex() == whole.margin.hex()
+    assert (single.name, single.passed, single.details) == (
+        whole.name, whole.passed, whole.details)
+    assert whole.passed
+
+
+@pytest.mark.parametrize("name", sorted(_BATCHED))
+def test_tightened_ceiling_fails_batched_check_by_name(name):
+    result = verify._CHECKS[name](seed=1 + verify._SEED_OFFSETS[name], ceiling_scale=0.5,
+                                  **_BATCHED[name])
+    assert result.name == name
+    assert not result.passed and result.margin < 0.0
