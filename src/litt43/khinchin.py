@@ -93,9 +93,8 @@ def _values(c: Coefficients) -> np.ndarray:
     arr = np.asarray(c)
     if arr.ndim != 1 or arr.size < 1:
         raise ValueError("coefficients must form a non-empty 1-D sequence")
-    if np.iscomplexobj(arr):
-        return arr.astype(np.complex128)
-    return arr.astype(np.float64)
+    # CoefficientVector's checks, NaN and +-inf included, hold for plain sequences too
+    return CoefficientVector("complex" if np.iscomplexobj(arr) else "real", arr).values
 
 
 @dataclass(frozen=True)

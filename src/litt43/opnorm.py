@@ -24,6 +24,7 @@ each shifting the whole block by its offset.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -51,10 +52,18 @@ _SIGN_TABLE_CAP = 1 << 14
 _ROOT_TABLE_CAP = 1 << 17
 
 # Coordinate phase ascent: sweep cap, relative gain that ends the sweeps,
-# and the golden-section bracket width in radians.
+# and the final bracket width in radians.
 _ASCENT_SWEEPS = 200
 _ASCENT_REL_TOL = 1e-12
 _ASCENT_ANGLE_TOL = 1e-12
+
+# Zoom rounds of the ascent as (spacing d, exp(i d arange(64))): round 0 is
+# the circle grid; each later round spans the two spacings around the
+# previous argmax, so d shrinks by 2/63, until that bracket 2d <= tolerance.
+_ZOOM = [2.0 * math.pi / 64.0]
+while 2.0 * _ZOOM[-1] > _ASCENT_ANGLE_TOL:
+    _ZOOM.append(_ZOOM[-1] * 2.0 / 63.0)
+_ZOOM = [(d, np.exp(1j * d * np.arange(64))) for d in _ZOOM]
 
 
 @dataclass(frozen=True)
@@ -224,28 +233,25 @@ def r_m(m) -> float:
 def _coordinate_phase_ascent(entries: np.ndarray, y: np.ndarray) -> float:
     """Sweep coordinates, moving each phase to a 1-D maximizer; monotone.
 
-    Each candidate phase comes from a dense angle grid followed by
-    golden-section refinement of the bracket around the grid maximizer
-    (closed form when the form has a single row); ties break toward the
-    smaller angle via first-argmax.  Moves are accepted only on strict
-    improvement, so the returned value is a valid lower bound on ||A||.
+    The phase of coordinate j maximizes f(t) = sum_k |c_k + a_kj e^(it)|.
+    Each zoom round evaluates f at 64 equally spaced angles, all rows at
+    once: round 0 on the circle grid, each later round over the two grid
+    spacings around the previous round's first argmax (``_ZOOM``), until
+    the bracket is at most ``_ASCENT_ANGLE_TOL`` wide.  A form with a
+    single row takes the closed form instead.  The zoom only chooses the
+    angle: the candidate value is f evaluated afresh at the feasible
+    point e^(it), and a move is accepted only on strict improvement, so
+    the returned value is a valid lower bound on ||A||.
     """
     k, n = entries.shape
     y = y.astype(np.complex128).copy()
     s = entries @ y
     value = float(np.abs(s).sum())
-    grid = 2.0 * np.pi * np.arange(64) / 64.0
-    phases = np.exp(1j * grid)
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
     for _ in range(_ASCENT_SWEEPS):
         previous = value
         for j in range(n):
             aj = entries[:, j]
             c = s - aj * y[j]
-
-            def objective(theta):
-                return float(np.abs(c + aj * np.exp(1j * theta)).sum())
-
             if k == 1:
                 # single row: |c + a e^(i t)| peaks where the two terms align
                 if abs(aj[0]) == 0.0:
@@ -254,27 +260,17 @@ def _coordinate_phase_ascent(entries: np.ndarray, y: np.ndarray) -> float:
                                    (c[0] * np.conj(aj[0])).real)
                 theta = theta % (2.0 * math.pi)
             else:
-                samples = np.abs(c[:, None] + aj[:, None] * phases[None, :]).sum(axis=0)
-                at = int(np.argmax(samples))
-                lo = grid[at] - 2.0 * np.pi / 64.0
-                hi = grid[at] + 2.0 * np.pi / 64.0
-                x1 = hi - invphi * (hi - lo)
-                x2 = lo + invphi * (hi - lo)
-                f1, f2 = objective(x1), objective(x2)
-                while hi - lo > _ASCENT_ANGLE_TOL:
-                    if f1 < f2:
-                        lo, x1, f1 = x1, x2, f2
-                        x2 = lo + invphi * (hi - lo)
-                        f2 = objective(x2)
-                    else:
-                        hi, x2, f2 = x2, x1, f1
-                        x1 = hi - invphi * (hi - lo)
-                        f1 = objective(x1)
-                theta = 0.5 * (lo + hi)
-            candidate = objective(theta)
+                lo, c1 = 0.0, c[:, None]
+                for d, table in _ZOOM:
+                    b = (aj * cmath.exp(1j * lo))[:, None]
+                    at = int(np.add.reduce(np.abs(c1 + b * table), axis=0).argmax())
+                    theta = lo + d * at
+                    lo = theta - d
+            yj = np.exp(1j * theta)
+            candidate = float(np.abs(c + aj * yj).sum())
             if candidate > value:
-                y[j] = np.exp(1j * theta)
-                s = c + aj * y[j]
+                y[j] = yj
+                s = c + aj * yj
                 value = candidate
         if value - previous <= _ASCENT_REL_TOL * max(value, 1.0):
             break

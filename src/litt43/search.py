@@ -100,6 +100,9 @@ class SearchConfig:
             raise ValueError("steps must be >= 0")
         if not (self.scale > 0.0):
             raise ValueError("perturbation scale must be positive")
+        # NaN would never expire (every deadline comparison is false)
+        if self.budget_seconds is not None and not self.budget_seconds >= 0.0:
+            raise ValueError(f"budget_seconds must be >= 0 or None, got {self.budget_seconds!r}")
         k, n = self.dims
         if k < 1 or n < 1:
             raise ValueError(f"dims must be positive, got {self.dims}")
@@ -324,6 +327,8 @@ def _run_restart(args):
 
 def _search(kind: str, params: dict, cfg: SearchConfig, workers: int = 1,
             falsification_path=None) -> SearchResult:
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     objective = _make_objective(kind, params)
     ceiling, provenance = objective.ceiling()
     jobs = [(kind, params, cfg, i) for i in range(cfg.restarts)]

@@ -242,6 +242,12 @@ class TestBadInput:
         ("khinchin", "--coeffs", "1,1", "--model", "steinhaus", "--Q", "7"),
         ("khinchin", "--coeffs", "1,1", "--model", "steinhaus", "--method", "em-limit",
          "--schedule", "4,x"),
+        ("khinchin", "--coeffs", "1,nan"),
+        ("khinchin", "--coeffs", "1,inf", "--model", "em", "--M", "4"),
+        ("khinchin", "--coeffs", "1,-inf", "--model", "steinhaus", "--Q", "8"),
+        ("search", "--budget-seconds", "nan", "--restarts", "1", "--steps", "1"),
+        ("search", "--budget-seconds", "-1", "--restarts", "1", "--steps", "1"),
+        ("search", "--workers", "-1", "--restarts", "1", "--steps", "1"),
     ])
     def test_exit_four_without_traceback(self, capsys, tmp_path, argv):
         if argv[0] == "norm":

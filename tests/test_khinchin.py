@@ -47,6 +47,23 @@ class TestCoefficientVector:
         vec = CoefficientVector("complex", [1, 1j])
         assert vec.n == 2
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(1.0, math.nan)])
+    @pytest.mark.parametrize("call", [
+        rademacher_average,
+        lambda c: lr_norm(c, 2),
+        lambda c: steinhaus_expectation(c, q=8),
+        lambda c: steinhaus_expectation(c, method="e_m_limit", schedule=[3, 4]),
+        lambda c: e_m_average(c, 3),
+        lambda c: khinchin_ratio(c, 2),
+        lambda c: blei_bound_check(c, 3, 2),
+    ], ids=["rademacher", "lr_norm", "steinhaus", "steinhaus_em_limit", "e_m", "ratio",
+            "blei"])
+    def test_plain_sequences_must_be_finite(self, call, bad):
+        # a list and an array get the same check as a CoefficientVector
+        for coeffs in ([1.0, bad], np.array([1.0, bad])):
+            with pytest.raises(ValueError, match="coefficients must all be finite"):
+                call(coeffs)
+
 
 class TestRademacherAverage:
     def test_pair_of_ones(self):

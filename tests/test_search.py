@@ -33,6 +33,24 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             SearchConfig(dims=(0, 2))
 
+    @pytest.mark.parametrize("budget", [math.nan, -1.0, -1e-300, -math.inf])
+    def test_rejects_nan_and_negative_budgets(self, budget):
+        # a NaN deadline never expires; a negative one used to act as 0
+        with pytest.raises(ValueError, match="budget_seconds"):
+            SearchConfig(budget_seconds=budget)
+
+    @pytest.mark.parametrize("budget", [None, 0.0, 2.5, math.inf])
+    def test_accepts_none_and_non_negative_budgets(self, budget):
+        assert SearchConfig(budget_seconds=budget).budget_seconds == budget
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_rejects_workers_below_one(self, workers):
+        cfg = small_cfg(restarts=1, steps=1)
+        with pytest.raises(ValueError, match="workers"):
+            maximize_ratio("real", ExponentPair.of("4/3", "4/3"), cfg, workers=workers)
+        with pytest.raises(ValueError, match="workers"):
+            maximize_khinchin_ratio("rademacher", 2.0, 3, cfg, workers=workers)
+
 
 class TestRealFormSearch:
     def test_recovers_sharp_ratio_at_littlewood(self):
