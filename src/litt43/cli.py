@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import (CapacityError, InadmissibleExponentsError, InputParseError,
                      SerializationError, UndefinedRatioError)
-from .exponents import (Exponent, ExponentPair, _reciprocal_grid, admissible,
+from .exponents import (CEILING_SLACK, Exponent, ExponentPair, _reciprocal_grid, admissible,
                         classify_region, complex_constant_bounds, real_constant)
 from .forms import load_form
 from .jsonio import canonical_dumps, format_float
@@ -293,7 +293,7 @@ def _cmd_khinchin(args) -> int:
         r = Exponent.parse(args.r)
         bound, _ = ceiling(_MODELS[args.model], r, args.M)
         ratio = _ratio(coeffs, r, result.value)
-        doc.update({"ratio": ratio, "ceiling": bound, "violation": ratio > bound + 1e-9})
+        doc.update({"ratio": ratio, "ceiling": bound, "violation": ratio > bound + CEILING_SLACK})
     _emit_json(doc)
     return 0
 

@@ -49,6 +49,9 @@ __all__ = [
 #: Exact value of C^C at (1,2) and (2,1): 2/sqrt(pi).
 TWO_OVER_SQRT_PI = 2.0 / math.sqrt(math.pi)
 
+#: Excess of a ratio over its proved ceiling that falsifies it, not rounding.
+CEILING_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class Exponent:

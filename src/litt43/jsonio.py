@@ -88,7 +88,7 @@ def require_field(doc: dict, name: str, kind: type):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise SerializationError(f"field {name!r} must be a number, got {value!r}")
         return float(value)
-    if not isinstance(value, kind):
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise SerializationError(
             f"field {name!r} must be {kind.__name__}, got {type(value).__name__}"
         )

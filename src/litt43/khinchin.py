@@ -35,7 +35,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import CapacityError, UndefinedRatioError
-from .exponents import TWO_OVER_SQRT_PI, Exponent, _as_exponent
+from .exponents import CEILING_SLACK, TWO_OVER_SQRT_PI, Exponent, _as_exponent
 from .forms import _lp, _unit_scaled
 from .opnorm import DEFAULT_EVAL_BUDGET, _walk, r_m
 
@@ -286,4 +286,4 @@ def blei_bound_check(c: Coefficients, m: int, r,
     ratio = _ratio(a, r, e_m_average(a, m, budget=budget).value)
     return BleiBoundReport(m=int(m), r=r, ratio=ratio, ceiling=bound,
                            witness=tuple(complex(z) for z in a),
-                           violation=ratio > bound + 1e-9)
+                           violation=ratio > bound + CEILING_SLACK)

@@ -36,9 +36,11 @@ a valid lower bound on the constant, safe against the ceiling), while
 ``optimistic_ratio`` divides by the refined lower endpoint and may
 exceed the ceiling by up to the interval width.
 
-A completed run whose best_ratio exceeds its ceiling by more than 1e-9
-would falsify the implementation (or the ceiling); the result is flagged
-and serialized rather than raised.
+A completed run whose best_ratio exceeds its ceiling by more than
+``CEILING_SLACK`` (1e-9) would falsify the implementation (or the
+ceiling); the result is flagged and serialized to
+``litt43-falsification-<kind>-seed<seed>.json`` in the working directory
+rather than raised.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import SerializationError
-from .exponents import (Exponent, ExponentPair, _as_exponent,
+from .exponents import (CEILING_SLACK, Exponent, ExponentPair, _as_exponent,
                         complex_constant_bounds, real_constant)
 from .forms import BilinearForm, _mixed_norms, form_from_json, form_to_json, mixed_norm
 from .jsonio import canonical_dumps, loads, require_field
@@ -72,8 +74,6 @@ __all__ = [
     "checkpoint_save",
     "checkpoint_load",
 ]
-
-CEILING_SLACK = 1e-9
 
 _SCALE_DECAY = 0.95
 _SCALE_REGROWTH_STEPS = 20  # bounded re-expansion on improvement
@@ -164,6 +164,8 @@ class _FormObjective(_Objective):
 
     def __init__(self, params: dict):
         self.field = params["field"]
+        if self.field not in ("real", "complex"):
+            raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
         self.pair = ExponentPair.of(params["a"], params["b"])
         self.m = int(params.get("m") or 0)
 
@@ -325,8 +327,7 @@ def _run_restart(args):
     return x, events
 
 
-def _search(kind: str, params: dict, cfg: SearchConfig, workers: int = 1,
-            falsification_path=None) -> SearchResult:
+def _search(kind: str, params: dict, cfg: SearchConfig, workers: int = 1) -> SearchResult:
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
     objective = _make_objective(kind, params)
@@ -370,33 +371,26 @@ def _search(kind: str, params: dict, cfg: SearchConfig, workers: int = 1,
         optimistic_ratio=optimistic,
     )
     if result.falsification:
-        path = falsification_path or Path.cwd() / (
-            f"litt43-falsification-{kind}-seed{cfg.seed}.json")
-        checkpoint_save(result, path)
+        checkpoint_save(result, f"litt43-falsification-{kind}-seed{cfg.seed}.json")
     return result
 
 
 def maximize_ratio(field: str, pair: ExponentPair, cfg: SearchConfig,
-                   m: int = 16, workers: int = 1,
-                   falsification_path=None) -> SearchResult:
+                   m: int = 16, workers: int = 1) -> SearchResult:
     """Climb the mixed-norm/operator-norm ratio over forms of cfg.dims.
 
     ``m`` selects the root-of-unity grid for complex norm certification
     and is ignored for real searches.
     """
-    if field not in ("real", "complex"):
-        raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
     params = {"field": field, "a": _exp_to_json(pair.a), "b": _exp_to_json(pair.b)}
     if field == "complex":
         params["m"] = int(m)
-    return _search("form_ratio", params, cfg, workers=workers,
-                   falsification_path=falsification_path)
+    return _search("form_ratio", params, cfg, workers=workers)
 
 
 def maximize_khinchin_ratio(model: str, r, n: int, cfg: SearchConfig,
                             m: Optional[int] = None, q: int = 64,
-                            workers: int = 1,
-                            falsification_path=None) -> SearchResult:
+                            workers: int = 1) -> SearchResult:
     """Climb the l_r/average ratio over N-coefficient vectors.
 
     model: "rademacher" (real vectors), "e_m" (complex, needs ``m``), or
@@ -411,8 +405,7 @@ def maximize_khinchin_ratio(model: str, r, n: int, cfg: SearchConfig,
         params["m"] = int(m)
     elif model == "steinhaus":
         params["q"] = int(q)
-    return _search("khinchin_ratio", params, cfg, workers=workers,
-                   falsification_path=falsification_path)
+    return _search("khinchin_ratio", params, cfg, workers=workers)
 
 
 def evaluate_witness(result: SearchResult) -> float:
@@ -475,48 +468,62 @@ def checkpoint_save(result: SearchResult, path) -> None:
 
 
 def checkpoint_load(path) -> SearchResult:
+    """Read a checkpoint_save file; a malformed or out-of-range field raises
+    SerializationError naming it."""
     doc = loads(Path(path).read_text(encoding="ascii"))
     if not isinstance(doc, dict):
         raise SerializationError("checkpoint must be a JSON object")
     version = require_field(doc, "version", int)
     if version != _CHECKPOINT_VERSION:
         raise SerializationError(f"field 'version' must be {_CHECKPOINT_VERSION}, got {version}")
+    kind = require_field(doc, "kind", str)
+    params = require_field(doc, "params", dict)
+    try:
+        _make_objective(kind, params).ceiling()
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SerializationError(
+            f"fields 'kind' and 'params' define no objective: {exc!r}") from exc
     cfg_doc = require_field(doc, "config", dict)
     dims = require_field(cfg_doc, "dims", list)
-    if len(dims) != 2:
-        raise SerializationError("field 'config.dims' must have two entries")
+    if len(dims) != 2 or any(type(d) is not int for d in dims):
+        raise SerializationError(f"field 'config.dims' must be two integers, got {dims!r}")
     budget = cfg_doc.get("budget_seconds")
     if budget is not None and (isinstance(budget, bool) or not isinstance(budget, (int, float))):
         raise SerializationError("field 'config.budget_seconds' must be a number or null")
-    cfg = SearchConfig(
-        restarts=require_field(cfg_doc, "restarts", int),
-        steps=require_field(cfg_doc, "steps", int),
-        scale=require_field(cfg_doc, "scale", float),
-        seed=require_field(cfg_doc, "seed", int),
-        dims=(int(dims[0]), int(dims[1])),
-        budget_seconds=None if budget is None else float(budget),
-    )
+    fields = {name: require_field(cfg_doc, name, expected)
+              for name, expected in (("restarts", int), ("steps", int), ("scale", float),
+                                     ("seed", int))}
+    try:
+        cfg = SearchConfig(dims=tuple(dims), **fields,
+                           budget_seconds=None if budget is None else float(budget))
+    except ValueError as exc:
+        raise SerializationError(f"field 'config' is out of range: {exc}") from exc
+    restarts_run = require_field(doc, "restarts_run", int)
+    if not 1 <= restarts_run <= cfg.restarts:
+        raise SerializationError(
+            f"field 'restarts_run' must lie in [1, {cfg.restarts}], got {restarts_run}")
+    events = []
+    for i, ev in enumerate(require_field(doc, "improved_at", list)):
+        if not (isinstance(ev, list) and len(ev) == 2 and all(type(v) is int for v in ev)
+                and 0 <= ev[0] < restarts_run and 0 <= ev[1] <= cfg.steps):
+            raise SerializationError(
+                f"field 'improved_at'[{i}] must be a [restart, step] pair of the run, got {ev!r}")
+        events.append(tuple(ev))
     witness = _witness_from_json(require_field(doc, "witness_kind", str),
                                  require_field(doc, "witness", dict))
-    improved = require_field(doc, "improved_at", list)
-    events = []
-    for i, ev in enumerate(improved):
-        if not isinstance(ev, list) or len(ev) != 2:
-            raise SerializationError(f"field 'improved_at'[{i}] must be a [restart, step] pair")
-        events.append((int(ev[0]), int(ev[1])))
     optimistic = doc.get("optimistic_ratio")
     if optimistic is not None and (isinstance(optimistic, bool)
                                    or not isinstance(optimistic, (int, float))):
         raise SerializationError("field 'optimistic_ratio' must be a number or null")
     return SearchResult(
-        kind=require_field(doc, "kind", str),
-        params=require_field(doc, "params", dict),
+        kind=kind,
+        params=params,
         config=cfg,
         best_ratio=require_field(doc, "best_ratio", float),
         witness=witness,
         ceiling=require_field(doc, "ceiling", float),
         ceiling_provenance=require_field(doc, "ceiling_provenance", str),
-        restarts_run=require_field(doc, "restarts_run", int),
+        restarts_run=restarts_run,
         improved_at=tuple(events),
         optimistic_ratio=None if optimistic is None else float(optimistic),
     )

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from litt43 import khinchin
+from litt43 import khinchin, opnorm
 from litt43.exponents import _as_exponent
 from litt43.errors import CapacityError, UndefinedRatioError
 from litt43.khinchin import (CoefficientVector, blei_bound_check, ceiling, e_m_average,
@@ -214,13 +214,16 @@ def _vector_stacks(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_vector_stacks(), st.sampled_from([1.0, 4.0 / 3.0, 2.0, 3.0, math.inf]),
-       st.sampled_from([2, 3, 4, 5]), st.booleans())
-def test_batched_cores_match_public_functions(case, r, m, small_cap):
+       st.sampled_from([2, 3, 4, 5]), st.booleans(),
+       st.sampled_from([1, opnorm._STACK_ELEMENTS]))
+def test_batched_cores_match_public_functions(case, r, m, small_cap, bound):
     # each member of a stack gets the bits the public function gives it
-    # alone; a small table cap sends the walk across high digits
+    # alone; a small table cap sends the walk across high digits, and
+    # bound 1 makes the walk split the stack into single members
     members, stack = case
     cap = m if small_cap else khinchin._TABLE_CAP
-    with mock.patch.object(khinchin, "_TABLE_CAP", cap):
+    with mock.patch.object(khinchin, "_TABLE_CAP", cap), \
+            mock.patch.object(opnorm, "_STACK_ELEMENTS", bound):
         n = stack.shape[-1]
         norms = khinchin._lr_norms(stack, _as_exponent(r))
         signs = khinchin._rademacher_means(stack.real)

@@ -262,17 +262,20 @@ _ONE_ROW = 10.0 * np.random.default_rng(5).standard_normal((2, 1, 9))
 
 @settings(max_examples=60, deadline=None)
 @given(_form_stacks(), st.sampled_from(_STACK_PAIRS), st.sampled_from([3, 4, 8]),
-       st.sampled_from([2, 4, None]))
-@example(("real", list(_ONE_ROW), np.asfortranarray(_ONE_ROW)), _STACK_PAIRS[0], 3, None)
-def test_batched_cores_match_public_functions(case, pair, m, cap):
+       st.sampled_from([2, 4, None]), st.sampled_from([1, opnorm._STACK_ELEMENTS]))
+@example(("real", list(_ONE_ROW), np.asfortranarray(_ONE_ROW)), _STACK_PAIRS[0], 3, None,
+         opnorm._STACK_ELEMENTS)
+def test_batched_cores_match_public_functions(case, pair, m, cap, bound):
     # each member of a stack gets the bits the public function gives it
-    # alone, on the one-table path and across high digits (small caps)
+    # alone, on the one-table path and across high digits (small caps),
+    # whether the walk splits the stack (bound 1) or not
     field, members, stack = case
     pair = ExponentPair.of(*pair)
     sign_cap = cap or opnorm._SIGN_TABLE_CAP
     root_cap = m ** (cap // 2) if cap else opnorm._ROOT_TABLE_CAP
     with mock.patch.object(opnorm, "_SIGN_TABLE_CAP", sign_cap), \
-            mock.patch.object(opnorm, "_ROOT_TABLE_CAP", root_cap):
+            mock.patch.object(opnorm, "_ROOT_TABLE_CAP", root_cap), \
+            mock.patch.object(opnorm, "_STACK_ELEMENTS", bound):
         mixed = forms._mixed_norms(stack, pair)
         real = opnorm._real_norms(stack) if field == "real" else None
         grid = opnorm._grid_norms(stack, m) if stack.shape[-1] <= 4 else None

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from litt43 import opnorm
+from litt43 import opnorm, search
 from litt43.errors import SerializationError
 from litt43.exponents import ExponentPair
 from litt43.forms import BilinearForm, mixed_norm
@@ -15,6 +15,8 @@ from litt43.search import (SearchConfig, SearchResult, checkpoint_load,
                            maximize_khinchin_ratio, maximize_ratio)
 
 SQRT2 = math.sqrt(2.0)
+
+_DELETE = object()
 
 
 def small_cfg(seed=1, restarts=6, steps=400):
@@ -234,6 +236,51 @@ class TestCheckpoints:
         path.write_text(json.dumps(doc))
         with pytest.raises(SerializationError, match="version"):
             checkpoint_load(path)
+
+    @pytest.mark.parametrize("keys, value, field", [
+        (("version",), True, "version"),
+        (("kind",), "nope", "kind"),
+        (("params", "a"), _DELETE, "params"),
+        (("params", "b"), _DELETE, "params"),
+        (("config", "dims"), ["a", 2], "config.dims"),
+        (("config", "dims"), [[1], 2], "config.dims"),
+        (("config", "dims"), [2.7, 2], "config.dims"),
+        (("config", "restarts"), 0, "restarts"),
+        (("config", "steps"), True, "steps"),
+        (("config", "budget_seconds"), -1, "budget_seconds"),
+        (("restarts_run",), 0, "restarts_run"),
+        (("improved_at",), [["x", 0]], "improved_at"),
+        (("improved_at",), [[None, 0]], "improved_at"),
+        (("improved_at",), [[0, 151]], "improved_at"),
+    ])
+    def test_malformed_field_is_named(self, tmp_path, keys, value, field):
+        # no edit may escape as another error, be truncated (dims 2.7) or
+        # load and fail later in evaluate_witness
+        path = tmp_path / "c.json"
+        checkpoint_save(self._result(), path)
+        import json
+        doc = json.loads(path.read_text())
+        parent = doc
+        for key in keys[:-1]:
+            parent = parent[key]
+        if value is _DELETE:
+            del parent[keys[-1]]
+        else:
+            parent[keys[-1]] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SerializationError, match=field):
+            checkpoint_load(path)
+
+    def test_falsification_is_saved_in_working_directory(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(search._FormObjective, "ceiling", lambda self: (1.0, "forced"))
+        result = self._result()
+        assert result.falsification
+        loaded = checkpoint_load(tmp_path / "litt43-falsification-form_ratio-seed13.json")
+        assert (loaded.best_ratio, loaded.ceiling, loaded.ceiling_provenance) == (
+            result.best_ratio, 1.0, "forced")
+        assert (loaded.config, loaded.improved_at) == (result.config, result.improved_at)
+        assert np.array_equal(loaded.witness.entries, result.witness.entries)
 
     def test_falsification_flag_is_a_property(self):
         result = self._result()

@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from litt43 import cli, verify
+from litt43 import cli, opnorm, verify
 from litt43.verify import (FAST_PRESET, CHECK_NAMES, CheckResult, report_to_json,
                            run_suite)
 
@@ -90,12 +90,12 @@ _BATCHED = {
 
 @pytest.mark.parametrize("name", sorted(_BATCHED))
 def test_stack_size_changes_no_result(name, monkeypatch):
-    # one member per kernel call against one call per group: margins bit
-    # for bit and equal details
+    # one member per walk against one walk per stack: margins bit for bit
+    # and equal details
     check = verify._CHECKS[name]
     results = []
     for elements in (1, 1 << 40):
-        monkeypatch.setattr(verify, "_STACK_ELEMENTS", elements)
+        monkeypatch.setattr(opnorm, "_STACK_ELEMENTS", elements)
         results.append(check(seed=1 + verify._SEED_OFFSETS[name], **_BATCHED[name]))
     single, whole = results
     assert single.margin.hex() == whole.margin.hex()
