@@ -10,10 +10,12 @@ Three averages of |sum_n a_n s_n| are computed for a coefficient vector
   the exact mean over Omega_M^N.  M = 2 reproduces the Rademacher average
   through the identical enumeration.
 * Steinhaus: s_n uniform on the whole unit circle, i.e. the N-fold torus
-  integral of |sum a_n e^(i t_n)|.  Evaluated either by the product
-  trapezoid rule (which on this periodic integrand coincides with the
-  root-of-unity mean at M = Q nodes) or as a root-of-unity limit along an
-  increasing schedule of M.
+  integral of |sum a_n e^(i t_n)|.  Evaluated either by quadrature, where
+  the first angle is integrated exactly (a complete elliptic integral,
+  computed by the arithmetic-geometric mean) and the product trapezoid
+  rule takes the N - 2 angles after it, or as a root-of-unity limit along
+  an increasing schedule of M.  The exact inner integral means the
+  quadrature is no longer the T_Q mean; N = 2 is exact.
 
 Every enumeration pins one multiplier (rotation invariance makes this
 exact), runs the pattern walk of ``litt43.opnorm`` and accumulates its
@@ -58,6 +60,14 @@ RADEMACHER_CAP = 30
 QUADRATURE_DIM_CAP = 8
 
 _TABLE_CAP = 1 << 20  # patterns per tabulated block of the walk
+# Nodes per tabulated block of the quadrature walk: smaller blocks pay the
+# AGM's fixed ufunc cost more often, larger ones fall out of cache (the
+# eight Steinhaus ops of the averages benchmark, 2-core host, medians of 5:
+# 154 / 137 / 117 / 199 / 249 ms at 2^20 / 2^18 / 2^16 / 2^14 / 2^12).
+_AGM_TABLE_CAP = 1 << 16
+# AGM passes: at the smallest relative gap two doubles can have,
+# |a - rho| / (a + rho) >= 2^-54, nine reach the limit; the tenth is margin.
+_AGM_PASSES = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,17 +209,106 @@ def e_m_average(c: Coefficients, m: int,
                          error_bound=0.0, m=int(m))
 
 
+def _circle_means(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """E_t |a e^(it) + rho| for a, rho >= 0 (broadcast together), by the AGM.
+
+    The mean is (2/pi)(a + rho) E(k), k^2 = 4 a rho / (a + rho)^2, the
+    perimeter over 2 pi of the ellipse with semi-axes a + rho and |a - rho|.
+    The arithmetic-geometric mean x_n, y_n of those semi-axes gives it as
+    (a^2 + rho^2 - sum_n 2^(n-2) (x_n - y_n)^2) / M(a + rho, |a - rho|)
+    (Borwein & Borwein, *Pi and the AGM*, 1987, ch. 1).  The pass count is
+    fixed, so each element's bits depend on its own inputs alone.  Ties
+    a == rho (k = 1, where M(2a, 0) = 0) take the limit 2(a + rho)/pi.
+    """
+    # pass 0 in closed form: x_1 = max(a, rho), y_1 = sqrt((a + rho) |a - rho|),
+    # and its term min(a, rho)^2 leaves max(a, rho)^2 of a^2 + rho^2
+    x = np.maximum(a, rho)
+    y = np.abs(a - rho)
+    y *= a + rho
+    np.sqrt(y, out=y)
+    total = x * x
+    d = np.empty_like(x)
+    w = 0.5
+    for _ in range(_AGM_PASSES - 1):
+        np.subtract(x, y, out=d)
+        d *= d
+        d *= w
+        total -= d
+        np.multiply(x, y, out=d)
+        x += y
+        x *= 0.5
+        np.sqrt(d, out=y)
+        w *= 2.0
+    if y.all():
+        return np.divide(total, x, out=total)
+    # y stays 0 where a == rho (or where (a + rho) |a - rho| underflows, at
+    # moduli below 1e-154 of the row's largest); 0 == a == rho divides 0 by 0
+    with np.errstate(invalid="ignore"):
+        return np.where(y == 0.0, (2.0 / math.pi) * (a + rho), total / x)
+
+
 def _quadrature(A: np.ndarray, q: int, budget: int = DEFAULT_EVAL_BUDGET):
-    """(value, error_bound) of the Steinhaus quadrature for each row of A (B, N)."""
-    if A.shape[-1] > QUADRATURE_DIM_CAP:
-        raise CapacityError(
-            f"quadrature supports N <= {QUADRATURE_DIM_CAP}, got N = {A.shape[-1]}"
-        )
+    """(value, error_bound) of the Steinhaus quadrature for each row of A (B, N).
+
+    z_N is pinned to 1 (rotation invariance), z_1 is integrated exactly by
+    ``_circle_means`` and the N - 2 angles between them take the product
+    trapezoid rule on Omega_q, so a row costs q^(N-2) terms, which is what
+    ``budget`` counts.  The value is the Richardson extrapolation
+    (4 T(q) - T(q/2)) / 3 and the error bound |T(q) - T(q/2)|; N <= 2
+    leaves no angle to walk, so its value is exact and its bound 0.  The
+    nodes of Omega_(q/2) are the nodes of Omega_q whose digits are all
+    even, so one walk sums both levels: each block's even low digits by a
+    strided slice, over the blocks whose high digits are all even.
+    """
+    n = A.shape[-1]
+    if n > QUADRATURE_DIM_CAP:
+        raise CapacityError(f"quadrature supports N <= {QUADRATURE_DIM_CAP}, got N = {n}")
     if q < 4 or q % 2:
         raise ValueError(f"quadrature needs an even node count >= 4, got {q}")
-    coarse = _mean_abs(A, q // 2, budget)
-    fine = _mean_abs(A, q, budget)
-    return (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse)
+    terms = q ** max(n - 2, 0)
+    if terms > budget:
+        raise CapacityError(
+            f"Steinhaus quadrature at N = {n}, Q = {q} needs {terms} terms (after "
+            f"fixing one angle and integrating another) but the budget is {budget}"
+        )
+    if n == 1:
+        return np.abs(A[:, 0]), np.zeros(len(A))
+    # the average is 1-homogeneous: unit rows keep the squares in range; a
+    # product, since a complex quotient by top + 0j can round otherwise
+    top = np.abs(A).max(axis=-1)
+    top[top == 0.0] = 1.0
+    U = A * (1.0 / top)[:, None]
+    if n == 2:
+        return top * _circle_means(np.abs(U[:, 0]), np.abs(U[:, 1])), np.zeros(len(A))
+
+    def level_sums(mods, a):
+        means = _circle_means(a[:, None, None], mods).reshape(len(a), -1)
+        low = 0
+        while q ** low < means.shape[-1]:
+            low += 1
+        grid = means.reshape((len(a),) + (q,) * low)
+        even = grid[(slice(None),) + (slice(None, None, 2),) * low]
+        coarse = np.ascontiguousarray(even).reshape(len(a), -1).sum(axis=-1)
+        return np.concatenate((means.sum(axis=-1)[:, None], coarse[:, None]), axis=1)
+
+    blocks = _walk(U[:, -1:], U[:, None, 1:-1], q, _AGM_TABLE_CAP, level_sums,
+                   np.abs(U[:, 0]))
+    if len(blocks) == 1:
+        fine, coarse = blocks[0].T
+    else:
+        # block h holds the high digits of h; the coarse level reads the blocks
+        # whose digits are all even (q is even: a digit's parity is h's parity)
+        high = np.arange(len(blocks))
+        even = np.ones(len(blocks), dtype=bool)
+        while high.any():
+            even &= high % 2 == 0
+            high //= q
+        sums = np.stack(blocks, axis=-1)  # (B, 2, blocks)
+        fine = np.array([math.fsum(row) for row in sums[:, 0]])
+        coarse = np.array([math.fsum(row) for row in sums[:, 1, even]])
+    fine = fine / terms
+    coarse = coarse / (q // 2) ** (n - 2)
+    return top * (4.0 * fine - coarse) / 3.0, top * np.abs(fine - coarse)
 
 
 def steinhaus_expectation(c: Coefficients, method: str = "quadrature",
@@ -217,10 +316,14 @@ def steinhaus_expectation(c: Coefficients, method: str = "quadrature",
                           budget: int = DEFAULT_EVAL_BUDGET) -> AverageResult:
     """Torus expectation of |sum a_n e^(i t_n)|.
 
-    quadrature: product trapezoid rule with q nodes per angle (q even);
-    the reported value is the Richardson extrapolation of the q and q/2
-    levels, which restores fast convergence on the kinked integrand, and
-    the error bound is the two-level difference |T(q) - T(q/2)|.
+    quadrature: the last angle is pinned, the first is integrated in
+    closed form (AGM) and the N - 2 angles between take the product
+    trapezoid rule with q nodes each (q even), q^(N-2) terms, which is
+    what ``budget`` counts.  The reported value is the Richardson
+    extrapolation of the q and q/2 levels, which restores fast convergence
+    on the kinked integrand, and the error bound is the two-level
+    difference |T(q) - T(q/2)|.  For N <= 2 no angle is left to the rule:
+    the value is exact and the bound 0.
 
     e_m_limit: exact T_M averages along an increasing ``schedule`` of at
     least two M values; the value is taken at the largest M with error

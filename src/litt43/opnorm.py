@@ -27,6 +27,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,11 +99,16 @@ class TorusNormBounds:
         return self.upper - self.lower
 
 
+@functools.lru_cache(maxsize=32)
 def _roots(m: int) -> np.ndarray:
-    """The M-th roots of unity exp(2*pi*i*j/M); exactly the real +-1 for M = 2."""
-    if m == 2:
-        return np.array([1.0, -1.0])
-    return np.exp(2j * np.pi * np.arange(m) / m)
+    """The M-th roots of unity exp(2*pi*i*j/M); exactly the real +-1 for M = 2.
+
+    Read-only and cached: search windows run small walks in a loop, where the
+    exponentials are a visible share of each call.
+    """
+    points = np.array([1.0, -1.0]) if m == 2 else np.exp(2j * np.pi * np.arange(m) / m)
+    points.setflags(write=False)
+    return points
 
 
 def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -123,7 +129,8 @@ def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np
     return table
 
 
-def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce) -> list:
+def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
+          *carry) -> list:
     """Apply ``reduce`` to every block of the moduli |first + cols @ w|, w in Omega_M^L.
 
     ``first`` (..., K) is the pinned column; the L columns of ``cols``
@@ -136,7 +143,9 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce) -
     on the batch size, so every member's sums associate as in a walk of its
     own.  A leading batch axis with over _STACK_ELEMENTS table elements is
     walked in parts of max(1, _STACK_ELEMENTS // (K * T)) members, and the
-    reductions are joined along it.  Block h, column t holds pattern
+    reductions are joined along it.  Each ``carry`` array has that batch
+    axis first and travels with its members: ``reduce(mods, *carry)`` gets
+    the slices of the members in ``mods``.  Block h, column t holds pattern
     g = h * T + t, digits ``np.unravel_index(g, (M,) * L, order="F")``
     (column 0 least significant).  The high-digit blocks share one buffer,
     so ``reduce`` must not keep its argument.  Returns the list of
@@ -152,16 +161,18 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce) -
         step = max(1, _STACK_ELEMENTS // (first.shape[-1] * m ** low))
         parts = []  # a loop, not a comprehension: no closure cells for the whole walk
         for i in range(0, len(first), step):
-            parts.append(_walk(first[i:i + step], cols[i:i + step], m, table_cap, reduce))
+            part = slice(i, i + step)
+            parts.append(_walk(first[part], cols[part], m, table_cap, reduce,
+                               *map(operator.itemgetter(part), carry)))
         return [np.concatenate(blocks) for blocks in zip(*parts)]
     table = _partial_sums(first, cols[..., :low], points)
     if low == cols.shape[-1]:
-        return [reduce(np.abs(table))]
+        return [reduce(np.abs(table), *carry)]
     offsets = _partial_sums(np.zeros(first.shape), cols[..., low:], points)
     # one buffer for every block, so no block faults fresh pages in
     block = np.empty_like(table)
     mods = block if block.dtype == np.float64 else np.empty(block.shape)
-    return [reduce(np.abs(np.add(table, offsets[..., h, None], out=block), out=mods))
+    return [reduce(np.abs(np.add(table, offsets[..., h, None], out=block), out=mods), *carry)
             for h in range(offsets.shape[-1])]
 
 

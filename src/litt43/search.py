@@ -159,6 +159,15 @@ class _Objective:
         return None if math.isnan(value) else value
 
 
+def _int_param(params: dict, name: str, low: int, even: bool = False) -> int:
+    """params[name], refused (ValueError naming it) unless an integer >= low, even if asked."""
+    value = params.get(name)
+    if type(value) is not int or value < low or (even and value % 2):
+        kind = "an even integer" if even else "an integer"
+        raise ValueError(f"field 'params.{name}' must be {kind} >= {low}, got {value!r}")
+    return value
+
+
 class _FormObjective(_Objective):
     """mixed_norm / operator-norm ratio over K x N forms of one field."""
 
@@ -167,7 +176,7 @@ class _FormObjective(_Objective):
         if self.field not in ("real", "complex"):
             raise ValueError(f"field must be 'real' or 'complex', got {self.field!r}")
         self.pair = ExponentPair.of(params["a"], params["b"])
-        self.m = int(params.get("m") or 0)
+        self.m = _int_param(params, "m", 3) if self.field == "complex" else 0
 
     def shape(self, dims) -> tuple:
         return tuple(dims)
@@ -221,19 +230,23 @@ class _KhinchinObjective(_Objective):
 
     def __init__(self, params: dict):
         self.model = params["model"]
-        self.r = _as_exponent(params["r"])
-        self.n = int(params["n"])
-        self.m = int(params.get("m") or 0)
-        self.q = int(params.get("q") or 0)
         if self.model not in ("rademacher", "e_m", "steinhaus"):
             raise ValueError(f"unknown model {self.model!r}")
+        self.r = _as_exponent(params["r"])
+        self.n = _int_param(params, "n", 1)
+        self.m = _int_param(params, "m", 2) if self.model == "e_m" else 0
+        self.q = _int_param(params, "q", 4, even=True) if self.model == "steinhaus" else 0
         self.field = "real" if self.model == "rademacher" else "complex"
 
     def shape(self, dims) -> tuple:
         return (self.n,)
 
     def cost(self, shape) -> int:
-        """Table elements one evaluation builds."""
+        """Table elements one evaluation builds.
+
+        Steinhaus counts q^(N-1), not the q^(N-2) nodes it walks: the AGM
+        that integrates one angle costs about as much per node as q terms.
+        """
         nodes = {"rademacher": 2, "e_m": self.m, "steinhaus": self.q}[self.model]
         return nodes ** (shape[-1] - 1)
 

@@ -340,9 +340,7 @@ def check_steinhaus_sharp_point(seed: int, max_n: int = 6,
     tol = 1e-6
     top = ceiling("steinhaus", 2.0)[0] * ceiling_scale
     floor = math.pi * _SQRT2 / 4.0
-    # Near equal moduli the N = 2 integrand's kink leaves a Richardson error
-    # of about 1.1e-6 at Q = 512, above ``tol``; Q = 8192 costs ~12k terms.
-    final_q = {2: 8192, 3: 512, 4: 256, 5: 64, 6: 36}
+    final_q = {3: 512, 4: 256, 5: 64, 6: 36}  # N = 2 is exact at any Q
     best_final = 0.0
     min_margin = math.inf
     per_dim = {}
@@ -355,7 +353,7 @@ def check_steinhaus_sharp_point(seed: int, max_n: int = 6,
         witness = result.witness.values
         refined = (lr_norm(witness, 2.0)
                    / steinhaus_expectation(witness, method="quadrature",
-                                           q=final_q[n]).value)
+                                           q=final_q.get(n, q_search)).value)
         per_dim[str(n)] = refined
         best_final = max(best_final, refined)
         min_margin = min(min_margin, top + tol - refined)

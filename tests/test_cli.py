@@ -259,6 +259,16 @@ class TestBadInput:
         assert "Traceback" not in err and err.startswith("invalid input:")
 
 
+class TestSearchParams:
+    @pytest.mark.parametrize("q", ["7", "2"])
+    def test_steinhaus_q_odd_or_below_four_exits_four(self, capsys, q):
+        code, _, err = run(capsys, "search", "--kind", "khinchin", "--model", "steinhaus",
+                           "--r", "2", "--N", "3", "--Q", q, "--restarts", "1",
+                           "--steps", "1")
+        assert code == 4
+        assert "Traceback" not in err and "params.q" in err
+
+
 class TestSearchCommand:
     def test_form_search_with_checkpoint(self, capsys, tmp_path):
         ckpt = tmp_path / "run.json"

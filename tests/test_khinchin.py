@@ -16,6 +16,7 @@ from litt43.opnorm import r_m
 
 SQRT2 = math.sqrt(2.0)
 FOUR_OVER_PI = 4.0 / math.pi
+EPS = np.finfo(float).eps
 
 
 def naive_rademacher(coeffs):
@@ -25,6 +26,36 @@ def naive_rademacher(coeffs):
     for signs in itertools.product((-1.0, 1.0), repeat=n):
         total += abs(sum(s * c for s, c in zip(signs, coeffs)))
     return total / 2 ** n
+
+
+def trapezoid_circle_mean(a, rho, nodes=1 << 20):
+    """E_t |a e^(it) + rho| by the trapezoid rule on a fine grid; the test
+    oracle of the closed form (error about 1e-12 even at the kink a == rho)."""
+    return float(np.abs(a * np.exp(2j * np.pi * np.arange(nodes) / nodes) + rho).mean())
+
+
+def product_trapezoid(A, q):
+    """The product trapezoid rule on every angle, Richardson over q and q/2
+    levels, for each row of A: the quadrature from before the first angle was
+    integrated in closed form, kept as an independent oracle."""
+    coarse = khinchin._mean_abs(A, q // 2)
+    fine = khinchin._mean_abs(A, q)
+    return (4.0 * fine - coarse) / 3.0, np.abs(fine - coarse)
+
+
+def naive_quadrature(coeffs, q):
+    """(value, error_bound) of the quadrature node by node: z_N pinned,
+    z_1 by the closed form, every other angle over all q-th (and q/2-th)
+    roots of unity; the test oracle of the walk and its two levels."""
+    a, *middle, last = coeffs
+    levels = []
+    for nodes in (q, q // 2):
+        roots = np.exp(2j * np.pi * np.arange(nodes) / nodes)
+        rhos = [abs(last + sum(c * w for c, w in zip(middle, ws)))
+                for ws in itertools.product(roots, repeat=len(middle))]
+        levels.append(float(khinchin._circle_means(abs(a), np.array(rhos)).mean()))
+    fine, coarse = levels
+    return (4.0 * fine - coarse) / 3.0, abs(fine - coarse)
 
 
 def naive_e_m(coeffs, m):
@@ -222,7 +253,9 @@ def test_batched_cores_match_public_functions(case, r, m, small_cap, bound):
     # bound 1 makes the walk split the stack into single members
     members, stack = case
     cap = m if small_cap else khinchin._TABLE_CAP
+    agm_cap = m if small_cap else khinchin._AGM_TABLE_CAP
     with mock.patch.object(khinchin, "_TABLE_CAP", cap), \
+            mock.patch.object(khinchin, "_AGM_TABLE_CAP", agm_cap), \
             mock.patch.object(opnorm, "_STACK_ELEMENTS", bound):
         n = stack.shape[-1]
         norms = khinchin._lr_norms(stack, _as_exponent(r))
@@ -296,9 +329,10 @@ def test_e_m_average_is_rotation_invariant(n, m, seed):
 
 class TestSteinhausExpectation:
     def test_pair_of_ones_closed_form(self):
+        # N = 2 leaves no angle to the trapezoid rule: exact, bound 0
         result = steinhaus_expectation([1.0, 1.0], method="quadrature", q=512)
-        assert result.value == pytest.approx(FOUR_OVER_PI, abs=1e-8)
-        assert result.error_bound is not None and result.error_bound > 0
+        assert result.value == pytest.approx(FOUR_OVER_PI, rel=4 * EPS)
+        assert result.error_bound == 0.0
 
     def test_single_coefficient(self):
         assert steinhaus_expectation([3 + 4j], q=64).value == 5.0
@@ -317,8 +351,20 @@ class TestSteinhausExpectation:
         assert quad.value == pytest.approx(em.value, abs=1e-6)
 
     def test_quadrature_error_bound_is_conservative_here(self):
+        # N = 2 is exact: the bound 0 holds, the tie a == rho giving 4/pi itself
         result = steinhaus_expectation([1.0, 1.0], method="quadrature", q=256)
-        assert abs(result.value - FOUR_OVER_PI) < result.error_bound
+        assert result.error_bound == 0.0
+        assert abs(result.value - FOUR_OVER_PI) <= result.error_bound
+
+    def test_two_coefficients_are_exact_at_any_q(self):
+        # near equal moduli, where the product rule's kink cost the most
+        for c in ([1.0, 1.0], [1.0, 1.001j], [0.3 - 0.4j, 0.5]):
+            results = {steinhaus_expectation(c, q=q) for q in (4, 256)}
+            assert len(results) == 1
+            (result,) = results
+            a, rho = sorted(abs(complex(z)) for z in c)
+            assert result.error_bound == 0.0
+            assert result.value == pytest.approx(trapezoid_circle_mean(a, rho), rel=1e-11)
 
     def test_odd_q_rejected(self):
         with pytest.raises(ValueError):
@@ -361,6 +407,71 @@ class TestSteinhausExpectation:
                 if nxt > prev:
                     print(f"non-monotone convergence step for {c}: {prev} -> {nxt}")
             assert gaps[-1] <= 1e-3  # the limit itself must be approached
+
+
+class TestClosedForm:
+    """khinchin._circle_means, E_t |a e^(it) + rho| by the AGM."""
+
+    @pytest.mark.parametrize("a, rho", [
+        (1.0, 1.0),                                 # a tie: E(1) = 1
+        (1.0, np.nextafter(1.0, 2.0)),              # one ulp apart
+        (0.75, np.nextafter(0.75, 0.0)),            # the smallest relative gap, 2^-54
+        (1.0, 1.001), (0.3, 0.7), (1.0, 1e-3),
+        (0.0, 0.6), (0.6, 0.0),
+    ])
+    def test_matches_fine_trapezoid(self, a, rho):
+        means = khinchin._circle_means(np.array([a]), np.array([rho]))
+        assert means[0] == pytest.approx(trapezoid_circle_mean(a, rho), rel=1e-11)
+
+    def test_tie_and_zero(self):
+        means = khinchin._circle_means(np.array([1.0, 0.0, 2.5]), np.array([1.0, 0.0, 2.5]))
+        assert means[0] == pytest.approx(FOUR_OVER_PI, rel=2 * EPS)
+        assert means[1] == 0.0
+        assert means[2] == pytest.approx(5.0 * 2.0 / math.pi, rel=2 * EPS)
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_extreme_scales(self, n, scale):
+        # the squares of 1e+-200 leave double range; the unit rows keep them in
+        rng = np.random.default_rng(n)
+        c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        base = steinhaus_expectation(c, q=16)
+        scaled = steinhaus_expectation(scale * c, q=16)
+        assert scaled.value == pytest.approx(scale * base.value, rel=1e-13)
+        assert scaled.error_bound == pytest.approx(scale * base.error_bound, rel=1e-6,
+                                                   abs=1e-13 * scaled.value)
+
+
+class TestQuadratureOracles:
+    @pytest.mark.parametrize("n, q", [(3, 4), (3, 16), (4, 8), (4, 6), (5, 4)])
+    def test_matches_node_by_node_sum(self, n, q):
+        # the fine and the coarse level of one walk are the two levels of
+        # the rule; a table cap of q also takes the high-digit path
+        rng = np.random.default_rng([n, q])
+        A = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+        for cap in (khinchin._AGM_TABLE_CAP, q):
+            with mock.patch.object(khinchin, "_AGM_TABLE_CAP", cap):
+                values, bounds = khinchin._quadrature(A, q)
+            for row, value, bound in zip(A, values, bounds):
+                want_value, want_bound = naive_quadrature(row, q)
+                assert value == pytest.approx(want_value, rel=1e-13)
+                assert bound == pytest.approx(want_bound, rel=1e-9, abs=1e-14)
+
+    @pytest.mark.parametrize("n, q", [(3, 64), (4, 32), (5, 16)])
+    def test_agrees_with_product_trapezoid(self, n, q):
+        # both values estimate the same torus integral; the product rule at
+        # 2q nodes per angle must agree within the sum of the two bounds
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+        values, bounds = khinchin._quadrature(A, q)
+        oracle, oracle_bounds = product_trapezoid(A, 2 * q)
+        assert np.all(np.abs(values - oracle) <= bounds + oracle_bounds + 1e-14 * oracle)
+
+    def test_budget_counts_walked_nodes(self):
+        # q^(N-2) terms: 16^4 at N = 6
+        assert steinhaus_expectation(np.ones(6), q=16, budget=16 ** 4).error_bound >= 0.0
+        with pytest.raises(CapacityError, match="65536 terms"):
+            steinhaus_expectation(np.ones(6), q=16, budget=16 ** 4 - 1)
 
 
 class TestCeiling:

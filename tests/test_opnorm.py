@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from litt43 import forms, opnorm
+from litt43 import forms, khinchin, opnorm
 from litt43.errors import CapacityError
 from litt43.exponents import ExponentPair, conjugate
 from litt43.forms import BilinearForm, mixed_norm, random_form, transpose, witness_a0
@@ -303,6 +303,29 @@ def test_grid_stack_members_match_batch_of_one(case):
     for i, member in enumerate(members):
         alone = forms._mixed_norm_grid(member[None], ps, ps)[0]
         assert grids[i].tobytes() == alone.tobytes()
+
+
+def test_split_stacks_keep_their_members_in_order():
+    # the stacks of check_lemma_ceilings at 21 forms (7 shapes, the shape
+    # depends on t mod 7, 3 forms each) and Steinhaus rows whose |a_1|,
+    # carried beside the walk, differ member by member: one member per part
+    # and one part per stack must give every member the same bits
+    stacks = {}
+    for t in range(21):
+        shape = (2 + t % 7, 2 + (t * 3 + 1) % 7)
+        form = random_form("real", *shape, "gaussian" if t % 2 == 0 else "sign", seed=1 + t)
+        stacks.setdefault(shape, []).append(form.entries)
+    rng = np.random.default_rng(8)
+    rows = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
+    rows[:, 0] *= np.arange(1, 6)
+    runs = []
+    for elements in (1, 1 << 40):
+        with mock.patch.object(opnorm, "_STACK_ELEMENTS", elements):
+            runs.append([opnorm._real_norms(np.stack(s)) for s in stacks.values()]
+                        + list(khinchin._quadrature(rows, 8)))
+    assert len(runs[0]) == 7 + 2
+    for split, whole in zip(*runs):
+        assert split.tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("writable", [False, True])

@@ -271,6 +271,36 @@ class TestCheckpoints:
         with pytest.raises(SerializationError, match=field):
             checkpoint_load(path)
 
+    @pytest.mark.parametrize("model, field, value", [
+        ("e_m", "m", 4.9),
+        ("e_m", "m", 1),
+        ("e_m", "m", True),
+        ("e_m", "n", 2.7),
+        ("e_m", "n", -5),
+        ("e_m", "n", 0),
+        ("e_m", "n", "3"),
+        ("steinhaus", "q", 31),
+        ("steinhaus", "q", 2),
+        ("steinhaus", "q", 32.0),
+        ("complex", "m", 8.5),
+        ("complex", "m", 2),
+    ])
+    def test_non_integer_or_out_of_range_param_is_named(self, tmp_path, model, field, value):
+        # int() once truncated m = 4.9 to M = 4 and let n = 2.7 or -5 load
+        cfg = SearchConfig(restarts=1, steps=5, scale=0.5, seed=3, dims=(2, 3))
+        if model == "complex":
+            result = maximize_ratio("complex", ExponentPair.of("4/3", "4/3"), cfg, m=8)
+        else:
+            result = maximize_khinchin_ratio(model, 2.0, 3, cfg, m=4, q=32)
+        path = tmp_path / "c.json"
+        checkpoint_save(result, path)
+        import json
+        doc = json.loads(path.read_text())
+        doc["params"][field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SerializationError, match=f"params.{field}"):
+            checkpoint_load(path)
+
     def test_falsification_is_saved_in_working_directory(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
         monkeypatch.setattr(search._FormObjective, "ceiling", lambda self: (1.0, "forced"))

@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 
 import pytest
@@ -62,7 +63,15 @@ class TestSteinhausSharpPoint:
         report = run_suite("fast", seed=4, only=["steinhaus_sharp_point"])
         check = report["checks"][0]
         assert check["passed"], check
-        assert check["details"]["per_dim"]["2"] == pytest.approx(1.1107206819, abs=1e-8)
+        assert check["details"]["per_dim"]["2"] == pytest.approx(math.pi * math.sqrt(2.0) / 4.0,
+                                                                 abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [13, 14, 15, 34, 35, 36, 37])
+    def test_passes_where_the_product_rule_misled_the_search(self, seed):
+        # the Q = 32 product rule misread the N = 2 ratio near equal moduli
+        # by more than the check's 1e-6, and the climb stopped short there
+        report = run_suite("fast", seed=seed, only=["steinhaus_sharp_point"])
+        assert report["all_passed"], report["checks"][0]
 
 
 @pytest.mark.parametrize("seed", [1, 2])
