@@ -276,8 +276,6 @@ def _cmd_khinchin(args) -> int:
     if args.model == "rademacher":
         result = rademacher_average(coeffs)
     elif args.model == "em":
-        if not args.M:
-            raise InputParseError("--model em requires --M")
         result = e_m_average(coeffs, args.M)
         doc["M"] = args.M
     elif args.method == "quadrature":  # steinhaus
@@ -307,8 +305,6 @@ def _cmd_search(args) -> int:
         pair = ExponentPair.of(args.a, args.b)
         result = maximize_ratio(args.field, pair, cfg, m=args.M, workers=workers)
     else:
-        if args.model == "em" and not args.M:
-            raise InputParseError("--model em requires --M")
         result = maximize_khinchin_ratio(_MODELS[args.model], args.r, args.N, cfg,
                                          m=args.M, q=args.Q, workers=workers)
     if args.checkpoint:
@@ -359,8 +355,16 @@ def _cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 4, not argparse's 2 (inadmissible exponents); subparsers share it."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="litt43",
         description="sharp constants of the anisotropic Littlewood 4/3 inequality: "
                     "evaluation, certification and extremal search")

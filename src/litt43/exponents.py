@@ -25,6 +25,7 @@ boundary, so the tie-break only affects labels, never values.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -105,6 +106,18 @@ def _as_exponent(p) -> Exponent:
     if isinstance(p, str):
         return Exponent.parse(p)
     return Exponent(float(p))
+
+
+def _as_integer(value, name: str, low: int, even: bool = False) -> int:
+    """int(value) if an integer >= low (and even, if asked), else a ValueError naming ``name``.
+
+    Python and numpy integers pass; bools, floats (4.0 too), strings and None do not.
+    """
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < low or (even and value % 2)):
+        kind = "an even integer" if even else "an integer"
+        raise ValueError(f"{name} must be {kind} >= {low}, got {value!r}")
+    return int(value)
 
 
 def _reciprocal_grid(points: int):

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import SerializationError
-from .exponents import ExponentPair
+from .exponents import ExponentPair, _as_integer
 from .jsonio import canonical_dumps, loads, require_field
 
 __all__ = [
@@ -172,12 +172,10 @@ def random_form(field: str, rows: int, cols: int, distribution: str = "gaussian"
       * ``sparse-sign`` - sign entries zeroed independently with probability
                           2/3 (at least one entry is forced nonzero).
     """
-    if rows < 1 or cols < 1:
-        raise ValueError(f"rows and cols must be >= 1, got {rows} x {cols}")
+    shape = (_as_integer(rows, "rows", 1), _as_integer(cols, "cols", 1))
     if field not in ("real", "complex"):
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
     rng = np.random.default_rng(seed)
-    shape = (rows, cols)
     if distribution == "gaussian":
         entries = rng.standard_normal(shape)
         if field == "complex":

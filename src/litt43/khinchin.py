@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import CapacityError, UndefinedRatioError
-from .exponents import CEILING_SLACK, TWO_OVER_SQRT_PI, Exponent, _as_exponent
+from .exponents import CEILING_SLACK, TWO_OVER_SQRT_PI, Exponent, _as_exponent, _as_integer
 from .forms import _lp, _unit_scaled
 from .opnorm import DEFAULT_EVAL_BUDGET, _walk, r_m
 
@@ -200,13 +200,11 @@ def _ratio(c: Coefficients, r, average: float) -> float:
 
 def e_m_average(c: Coefficients, m: int,
                 budget: int = DEFAULT_EVAL_BUDGET) -> AverageResult:
-    """Exact root-of-unity average; M = 2 is the Rademacher enumeration."""
-    a = _values(c)
-    if m < 2:
-        raise ValueError(f"root-of-unity average needs M >= 2, got {m}")
-    value = float(_mean_abs(a[None], m, budget)[0])
+    """Exact average over the M-th roots of unity, M an integer >= 2; M = 2 is Rademacher."""
+    m = _as_integer(m, "M", 2)
+    value = float(_mean_abs(_values(c)[None], m, budget)[0])
     return AverageResult(value=value, kind="e_m", method="enumeration",
-                         error_bound=0.0, m=int(m))
+                         error_bound=0.0, m=m)
 
 
 def _circle_means(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -263,8 +261,7 @@ def _quadrature(A: np.ndarray, q: int, budget: int = DEFAULT_EVAL_BUDGET):
     n = A.shape[-1]
     if n > QUADRATURE_DIM_CAP:
         raise CapacityError(f"quadrature supports N <= {QUADRATURE_DIM_CAP}, got N = {n}")
-    if q < 4 or q % 2:
-        raise ValueError(f"quadrature needs an even node count >= 4, got {q}")
+    q = _as_integer(q, "Q", 4, even=True)
     terms = q ** max(n - 2, 0)
     if terms > budget:
         raise CapacityError(
@@ -318,16 +315,16 @@ def steinhaus_expectation(c: Coefficients, method: str = "quadrature",
 
     quadrature: the last angle is pinned, the first is integrated in
     closed form (AGM) and the N - 2 angles between take the product
-    trapezoid rule with q nodes each (q even), q^(N-2) terms, which is
-    what ``budget`` counts.  The reported value is the Richardson
-    extrapolation of the q and q/2 levels, which restores fast convergence
-    on the kinked integrand, and the error bound is the two-level
-    difference |T(q) - T(q/2)|.  For N <= 2 no angle is left to the rule:
-    the value is exact and the bound 0.
+    trapezoid rule with q nodes each (q an even integer >= 4), q^(N-2)
+    terms, which is what ``budget`` counts.  The reported value is the
+    Richardson extrapolation of the q and q/2 levels, which restores fast
+    convergence on the kinked integrand, and the error bound is the
+    two-level difference |T(q) - T(q/2)|.  For N <= 2 no angle is left to
+    the rule: the value is exact and the bound 0.
 
     e_m_limit: exact T_M averages along an increasing ``schedule`` of at
-    least two M values; the value is taken at the largest M with error
-    bound |E_last - E_prev|.
+    least two integers M >= 2; the value is taken at the largest M with
+    error bound |E_last - E_prev|.
     """
     a = _values(c)
     if method == "quadrature":
@@ -337,9 +334,9 @@ def steinhaus_expectation(c: Coefficients, method: str = "quadrature",
     if method == "e_m_limit":
         if schedule is None or len(schedule) < 2:
             raise ValueError("e_m_limit needs an increasing schedule of >= 2 values of M")
-        ms = [int(m) for m in schedule]
-        if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])) or ms[0] < 2:
-            raise ValueError(f"schedule must be strictly increasing with M >= 2, got {ms}")
+        ms = [_as_integer(m, f"schedule[{i}]", 2) for i, m in enumerate(schedule)]
+        if any(m2 <= m1 for m1, m2 in zip(ms, ms[1:])):
+            raise ValueError(f"schedule must be strictly increasing, got {ms}")
         values = [e_m_average(a, m, budget=budget).value for m in ms]
         return AverageResult(value=values[-1], kind="steinhaus", method="e_m-limit",
                              error_bound=abs(values[-1] - values[-2]), m=ms[-1])
@@ -360,7 +357,7 @@ def ceiling(model: str, r, m: Optional[int] = None):
     inv_r = r.reciprocal
     if model == "rademacher":
         return 2.0 ** inv_r, "sharp Rademacher ceiling 2^(1/r)"
-    if model == "e_m" and m == 2:
+    if model == "e_m" and _as_integer(m, "M", 2) == 2:
         return 2.0 ** inv_r, "sharp ceiling 2^(1/r) (M = 2 is the Rademacher case)"
     if model == "e_m":
         return ((4.0 / math.pi) ** inv_r / r_m(m),
@@ -383,10 +380,10 @@ def blei_bound_check(c: Coefficients, m: int, r,
     sharpness is open and the gap to the best known lower bound is the
     interesting datum.
     """
-    r = _as_exponent(r)
+    r, m = _as_exponent(r), _as_integer(m, "M", 2)
     bound, _ = ceiling("e_m", r, m)
     a = _values(c)
     ratio = _ratio(a, r, e_m_average(a, m, budget=budget).value)
-    return BleiBoundReport(m=int(m), r=r, ratio=ratio, ceiling=bound,
+    return BleiBoundReport(m=m, r=r, ratio=ratio, ceiling=bound,
                            witness=tuple(complex(z) for z in a),
                            violation=ratio > bound + CEILING_SLACK)

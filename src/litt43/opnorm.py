@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError
+from .exponents import _as_integer
 from .forms import BilinearForm
 
 __all__ = [
@@ -214,8 +215,7 @@ def real_sup_norm(A: BilinearForm, cap: int = REAL_ENUM_CAP) -> float:
 
 def _grid_walk(E: np.ndarray, m: int, budget: int, reduce) -> list:
     """The walk over T_M^N with the first coordinate pinned to 1, for a stack E (B, K, N)."""
-    if m < 3:
-        raise ValueError(f"root-of-unity norm needs M >= 3, got {m}")
+    m = _as_integer(m, "M", 3)
     n = E.shape[-1]
     evals = m ** (n - 1)
     if evals > budget:
@@ -243,16 +243,13 @@ def complex_norm_discrete(A: BilinearForm, m: int,
 
 
 def r_m(m) -> float:
-    """Sandwich factor sqrt(1/2 + cos(2*pi/M)/2), increasing in M, -> 1.
+    """Sandwich factor sqrt(1/2 + cos(2*pi/M)/2) for an integer M >= 3, increasing in M, -> 1.
 
     M = math.inf is accepted symbolically and gives exactly 1.
     """
     if m == math.inf:
         return 1.0
-    m = int(m)
-    if m < 3:
-        raise ValueError(f"R_M requires M >= 3, got {m}")
-    return math.sqrt(0.5 + 0.5 * math.cos(2.0 * math.pi / m))
+    return math.sqrt(0.5 + 0.5 * math.cos(2.0 * math.pi / _as_integer(m, "M", 3)))
 
 
 def _coordinate_phase_ascent(entries: np.ndarray, y: np.ndarray) -> float:
@@ -311,6 +308,7 @@ def complex_norm_bounds(A: BilinearForm, m: int, refine: bool = False,
     the interval stays valid.  The upper endpoint always uses the
     unrefined grid norm, whose R_M guarantee is what certification needs.
     """
+    m = _as_integer(m, "M", 3)
     factor = r_m(m)
     blocks = [(float(v[0]), int(t[0]))
               for v, t in _grid_walk(A.entries[None], m, budget, _block_argmax)]
@@ -329,5 +327,5 @@ def complex_norm_bounds(A: BilinearForm, m: int, refine: bool = False,
     # feasible ascent cannot mathematically exceed ||A|| <= upper; guard
     # against rounding at the scale of the last digit only
     lower = min(lower, upper)
-    return TorusNormBounds(lower=lower, upper=upper, m=int(m), r_m=factor,
+    return TorusNormBounds(lower=lower, upper=upper, m=m, r_m=factor,
                            discrete_norm=discrete)

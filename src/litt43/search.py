@@ -56,7 +56,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import SerializationError
-from .exponents import (CEILING_SLACK, Exponent, ExponentPair, _as_exponent,
+from .exponents import (CEILING_SLACK, Exponent, ExponentPair, _as_exponent, _as_integer,
                         complex_constant_bounds, real_constant)
 from .forms import BilinearForm, _mixed_norms, form_from_json, form_to_json, mixed_norm
 from .jsonio import canonical_dumps, loads, require_field
@@ -94,19 +94,16 @@ class SearchConfig:
     budget_seconds: Optional[float] = None
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ValueError("restarts must be >= 1")
-        if self.steps < 0:
-            raise ValueError("steps must be >= 0")
+        for name, low in (("restarts", 1), ("steps", 0), ("seed", 0)):
+            object.__setattr__(self, name, _as_integer(getattr(self, name), name, low))
         if not (self.scale > 0.0):
             raise ValueError("perturbation scale must be positive")
         # NaN would never expire (every deadline comparison is false)
         if self.budget_seconds is not None and not self.budget_seconds >= 0.0:
             raise ValueError(f"budget_seconds must be >= 0 or None, got {self.budget_seconds!r}")
         k, n = self.dims
-        if k < 1 or n < 1:
-            raise ValueError(f"dims must be positive, got {self.dims}")
-        object.__setattr__(self, "dims", (int(k), int(n)))
+        object.__setattr__(self, "dims", (_as_integer(k, "dims[0]", 1),
+                                          _as_integer(n, "dims[1]", 1)))
 
 
 @dataclass(frozen=True)
@@ -160,12 +157,8 @@ class _Objective:
 
 
 def _int_param(params: dict, name: str, low: int, even: bool = False) -> int:
-    """params[name], refused (ValueError naming it) unless an integer >= low, even if asked."""
-    value = params.get(name)
-    if type(value) is not int or value < low or (even and value % 2):
-        kind = "an even integer" if even else "an integer"
-        raise ValueError(f"field 'params.{name}' must be {kind} >= {low}, got {value!r}")
-    return value
+    """params[name] through ``_as_integer``, named as the checkpoint field."""
+    return _as_integer(params.get(name), f"field 'params.{name}'", low, even)
 
 
 class _FormObjective(_Objective):
@@ -308,26 +301,24 @@ def _run_restart(args):
     ladder_shape = (-1,) + (1,) * len(shape)
     done = 0
     while done < cfg.steps:
-        # the next w steps as if every one is rejected: their noise is fixed
-        # by the stream and their scales by the decay ladder
+        # the next w steps as if every one is rejected: their noise is fixed by
+        # the stream, their scales by the decay ladder's repeated multiplication
         w = min(window, cfg.steps - done)
         if len(noise) < w:
-            fresh = _gaussians(rng, w - len(noise), shape, objective.field)
-            noise = np.concatenate([noise, fresh]) if len(noise) else fresh
-        scales = [scale]
-        for _ in range(w - 1):  # repeated multiplication, as the serial steps decay it
-            scales.append(scales[-1] * _SCALE_DECAY)
-        moves = np.array(scales).reshape(ladder_shape) * noise[:w]
-        candidates = objective.normalize(x + moves)
+            noise = np.concatenate([noise, _gaussians(rng, w - len(noise), shape,
+                                                      objective.field)])
+        scales = np.multiply.accumulate([scale] + [_SCALE_DECAY] * (w - 1))
+        candidates = objective.normalize(x + scales.reshape(ladder_shape) * noise[:w])
         # the first improvement is the serial step; later ones are moot
         # (NaN, an undefined ratio, is never an improvement)
-        for k, value in enumerate(objective.ratios(candidates)):
-            if value > current:
-                x, current = candidates[k], value
-                scale = min(cfg.scale, scales[k] / _SCALE_DECAY ** _SCALE_REGROWTH_STEPS)
-                events.append((done + k + 1, current))
-                break
+        ratios = np.array(objective.ratios(candidates))
+        k = int(np.argmax(ratios > current))
+        if ratios[k] > current:
+            x, current = candidates[k], float(ratios[k])
+            scale = min(cfg.scale, scales[k] / _SCALE_DECAY ** _SCALE_REGROWTH_STEPS)
+            events.append((done + k + 1, current))
         else:
+            k = w - 1
             scale = scales[-1] * _SCALE_DECAY
         noise = noise[k + 1:]
         done += k + 1
@@ -397,7 +388,7 @@ def maximize_ratio(field: str, pair: ExponentPair, cfg: SearchConfig,
     """
     params = {"field": field, "a": _exp_to_json(pair.a), "b": _exp_to_json(pair.b)}
     if field == "complex":
-        params["m"] = int(m)
+        params["m"] = m
     return _search("form_ratio", params, cfg, workers=workers)
 
 
@@ -411,13 +402,11 @@ def maximize_khinchin_ratio(model: str, r, n: int, cfg: SearchConfig,
     Vectors are renormalized to unit l_r between steps.
     """
     r = _as_exponent(r)
-    params = {"model": model, "r": _exp_to_json(r), "n": int(n)}
+    params = {"model": model, "r": _exp_to_json(r), "n": n}
     if model == "e_m":
-        if not m:
-            raise ValueError("model 'e_m' requires m")
-        params["m"] = int(m)
+        params["m"] = m
     elif model == "steinhaus":
-        params["q"] = int(q)
+        params["q"] = q
     return _search("khinchin_ratio", params, cfg, workers=workers)
 
 

@@ -259,6 +259,29 @@ class TestBadInput:
         assert "Traceback" not in err and err.startswith("invalid input:")
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ("khinchin", "--coeffs", "1,1", "--model", "em", "--M", "2.5"),
+        ("search", "--restarts", "x"),
+        ("khinchin", "--model", "em"),  # --coeffs is required
+        ("frobnicate",),
+    ])
+    def test_argparse_errors_exit_four(self, capsys, argv):
+        # argparse's own code 2 would read as "inadmissible exponents"
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("usage: litt43") and "error:" in err
+
+    @pytest.mark.parametrize("argv", [("--help",), ("search", "--help")])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: litt43")
+
+
 class TestSearchParams:
     @pytest.mark.parametrize("q", ["7", "2"])
     def test_steinhaus_q_odd_or_below_four_exits_four(self, capsys, q):
