@@ -5,6 +5,12 @@ A form on c0 x c0 is truncated to its K x N coefficient matrix
 everywhere in this package.  The mixed norm takes the l_a norm along
 each row (over j) and then the l_b norm of the row values (over k),
 with an infinite exponent meaning the supremum at that level.
+
+One kernel, ``_mixed_norms``, evaluates it for ``mixed_norm``, for the
+exponent grids of the verification checks and for ``khinchin.lr_norm``
+(the l_r norm of a vector is the (r, 1) norm of a 1 x N matrix).  Above
+10,000 entries per matrix every power sum goes through math.fsum, so
+all of them are exactly rounded there, independent of platform.
 """
 
 from __future__ import annotations
@@ -32,8 +38,8 @@ __all__ = [
     "load_form",
 ]
 
-# Above this entry count, mixed_norm takes every power sum with math.fsum
-# (exactly rounded, so independent of summation order and platform).
+# Above this entry count per matrix, _mixed_norms takes every power sum with
+# math.fsum (exactly rounded, so independent of summation order and platform).
 _COMPENSATED_SUM_THRESHOLD = 10_000
 
 
@@ -78,46 +84,44 @@ class MixedNormValue:
         return self.value
 
 
-def _lp(vals: np.ndarray, p):
-    """l_p norms along the last axis of a nonnegative array (sup for p = oo).
-
-    ``p`` may also be an array of finite exponents that broadcasts against
-    ``vals``, giving one norm per exponent (the grid evaluation uses this).
-    """
-    if isinstance(p, float):
-        if p == math.inf:
-            return vals.max(axis=-1)
-        if p == 1.0:
-            return vals.sum(axis=-1)
-    return np.power(np.power(vals, p).sum(axis=-1, keepdims=True), 1.0 / p)[..., 0]
+def _lp(vals: np.ndarray, p: float):
+    """l_p norms along the last axis of a nonnegative array (sup for p = oo)."""
+    if p == math.inf:
+        return vals.max(axis=-1)
+    if p == 1.0:
+        return vals.sum(axis=-1)
+    return np.power(np.power(vals, p).sum(axis=-1), 1.0 / p)
 
 
 def _lp_fsum(vals: np.ndarray, p: float):
-    """_lp(vals, p) for one exponent, each sum exactly rounded by math.fsum."""
+    """_lp(vals, p), each sum exactly rounded by math.fsum."""
     if p == math.inf:
         return vals.max(axis=-1)
     return np.power(np.apply_along_axis(math.fsum, -1, np.power(vals, p)), 1.0 / p)
 
 
-def _unit_scaled(X: np.ndarray, axis):
-    """(top, |X| / top), top the largest magnitude over ``axis`` (kept as size-1 axes).
+def _mixed_norms(E: np.ndarray, inner, outer) -> np.ndarray:
+    """mixed_norm(A, (a, b)).value for each matrix A of the stack E (B, K, N),
+    each a in ``inner`` and each b in ``outer``, as (B, I, O).
 
-    A zero top is sent to 1, so a zero array gets 1 * 0.  X is made
-    C-contiguous first: numpy sums a contiguous row pairwise but a strided
-    one in sequence, so without it the last bits of every norm taken from
-    the result would depend on the layout of the caller's array.
+    Exponents are floats in [1, oo].  |E| is scaled by each matrix's
+    largest magnitude (a zero matrix by 1) and reduced once per inner
+    exponent; each outer exponent then reduces only the K row norms.  E is
+    made C-contiguous first: numpy sums a contiguous row pairwise but a
+    strided one in sequence, so without it the last bits would depend on
+    the layout of the caller's array.
     """
-    mags = np.abs(np.ascontiguousarray(X))
-    top = mags.max(axis=axis, keepdims=True)
+    mags = np.abs(np.ascontiguousarray(E))
+    top = mags.max(axis=(-2, -1), keepdims=True)
     top[top == 0.0] = 1.0
-    return top, mags / top
-
-
-def _mixed_norms(E: np.ndarray, pair: ExponentPair) -> np.ndarray:
-    """mixed_norm of each K x N matrix of the stack E (B, K, N), as (B,)."""
-    top, scaled = _unit_scaled(E, (-2, -1))
+    scaled = mags / top
     lp = _lp if E.shape[-2] * E.shape[-1] <= _COMPENSATED_SUM_THRESHOLD else _lp_fsum
-    return top[..., 0, 0] * lp(lp(scaled, pair.a.value), pair.b.value)
+    out = np.empty((E.shape[0], len(inner), len(outer)))
+    for i, a in enumerate(inner):
+        rows = lp(scaled, a)
+        for o, b in enumerate(outer):
+            out[:, i, o] = lp(rows, b)
+    return top * out
 
 
 def mixed_norm(A: BilinearForm, pair: ExponentPair) -> MixedNormValue:
@@ -125,27 +129,11 @@ def mixed_norm(A: BilinearForm, pair: ExponentPair) -> MixedNormValue:
 
     Entries are scaled by the largest magnitude before powering, which keeps
     intermediate powers in range for any exponent and makes the norm exactly
-    homogeneous up to rounding.
+    homogeneous up to rounding.  Above 10,000 entries every power sum is
+    taken with math.fsum, here as in the grid evaluations and ``lr_norm``.
     """
-    return MixedNormValue(float(_mixed_norms(A.entries[None], pair)[0]), pair)
-
-
-def _mixed_norm_grid(E: np.ndarray, inner, outer) -> np.ndarray:
-    """mixed_norm(A, (a, b)).value for each matrix A of the stack E (B, K, N),
-    each a in ``inner`` and each b in ``outer``, as (B, I, O).
-
-    Exponents are floats in [1, oo].  Vectorized over the outer exponent,
-    so a 20 x 20 grid costs 20 passes over the stack, not 400.
-    """
-    top, scaled = _unit_scaled(E, (-2, -1))
-    outer = np.asarray(outer, dtype=np.float64)
-    out = np.empty((E.shape[0], len(inner), outer.size))
-    finite = np.isfinite(outer)
-    for i, a in enumerate(inner):
-        rows = _lp(scaled, a)
-        out[:, i, ~finite] = rows.max(axis=-1)[:, None]
-        out[:, i, finite] = _lp(rows[:, None, :], outer[finite, None])
-    return top * out
+    value = _mixed_norms(A.entries[None], (pair.a.value,), (pair.b.value,))[0, 0, 0]
+    return MixedNormValue(float(value), pair)
 
 
 def transpose(A: BilinearForm) -> BilinearForm:
@@ -175,7 +163,7 @@ def random_form(field: str, rows: int, cols: int, distribution: str = "gaussian"
     shape = (_as_integer(rows, "rows", 1), _as_integer(cols, "cols", 1))
     if field not in ("real", "complex"):
         raise ValueError(f"field must be 'real' or 'complex', got {field!r}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_as_integer(seed, "seed", 0))
     if distribution == "gaussian":
         entries = rng.standard_normal(shape)
         if field == "complex":

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import CapacityError, UndefinedRatioError
 from .exponents import CEILING_SLACK, TWO_OVER_SQRT_PI, Exponent, _as_exponent, _as_integer
-from .forms import _lp, _unit_scaled
+from .forms import _mixed_norms
 from .opnorm import DEFAULT_EVAL_BUDGET, _walk, r_m
 
 __all__ = [
@@ -130,13 +130,16 @@ class BleiBoundReport:
 
 
 def _lr_norms(A: np.ndarray, r: Exponent) -> np.ndarray:
-    """lr_norm of each row of the stack A (B, N), as (B,)."""
-    top, scaled = _unit_scaled(A, -1)
-    return top[..., 0] * _lp(scaled, r.value)
+    """lr_norm of each row of the stack A (B, N), as (B,): the (r, 1) norm of a 1 x N matrix."""
+    return _mixed_norms(A[:, None, :], (r.value,), (1.0,))[:, 0, 0]
 
 
 def lr_norm(c: Coefficients, r) -> float:
-    """(sum |a_n|^r)^(1/r), supremum for r = oo."""
+    """(sum |a_n|^r)^(1/r), supremum for r = oo.
+
+    Above 10,000 entries the power sum is taken with math.fsum, as in
+    ``mixed_norm``: exactly rounded, so independent of the platform.
+    """
     return float(_lr_norms(_values(c)[None], _as_exponent(r))[0])
 
 

@@ -185,7 +185,7 @@ class _FormObjective(_Objective):
         return X
 
     def ratios(self, X) -> list:
-        numerators = _mixed_norms(X, self.pair)
+        numerators = _mixed_norms(X, (self.pair.a.value,), (self.pair.b.value,))[:, 0, 0]
         if self.field == "real":
             denominators = _real_norms(X)
         else:
@@ -399,7 +399,9 @@ def maximize_khinchin_ratio(model: str, r, n: int, cfg: SearchConfig,
 
     model: "rademacher" (real vectors), "e_m" (complex, needs ``m``), or
     "steinhaus" (complex, quadrature with ``q`` nodes per angle).
-    Vectors are renormalized to unit l_r between steps.
+    Vectors are renormalized to unit l_r between steps.  The vector length
+    is ``n``; ``cfg.dims`` is not read (so ``search --kind khinchin`` ignores
+    ``--K``, and ``--N`` gives the length).
     """
     r = _as_exponent(r)
     params = {"model": model, "r": _exp_to_json(r), "n": n}

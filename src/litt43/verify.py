@@ -21,12 +21,12 @@ from typing import Callable, Dict, Optional
 import numpy as np
 
 from . import __version__
-from .exponents import (CEILING_SLACK, Exponent, ExponentPair, _reciprocal_grid,
-                        classify_region, conjugate)
-from .forms import (BilinearForm, _mixed_norm_grid, _mixed_norms, form_from_json,
-                    form_to_json, mixed_norm, random_form, witness_a0)
+from .exponents import (CEILING_SLACK, ExponentPair, _reciprocal_grid, classify_region,
+                        conjugate, real_constant)
+from .forms import (BilinearForm, _mixed_norms, form_from_json, form_to_json, mixed_norm,
+                    random_form, witness_a0)
 from .jsonio import canonical_dumps
-from .khinchin import (_lr_norms, _mean_abs, _rademacher_means, blei_bound_check, ceiling,
+from .khinchin import (_mean_abs, _rademacher_means, blei_bound_check, ceiling,
                        khinchin_ratio, lr_norm, steinhaus_expectation)
 from .opnorm import (_real_norms, complex_norm_bounds, complex_norm_discrete, r_m,
                      real_sup_norm)
@@ -39,12 +39,13 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def _means_and_lr_norms(vectors: list, mean, r_values):
-    """(mean(c), (lr_norm(c, r) for r in r_values)) for each c in vectors,
-    length by length from one stack each; ``mean`` averages over Omega_M^N."""
+    """(mean(c), [lr_norm(c, r) for r in r_values]) for each c in vectors,
+    length by length from one stack each; ``mean`` averages over Omega_M^N.
+    The l_r norm of c is the (r, 1) norm of c as a 1 x n matrix."""
     for n in sorted({c.size for c in vectors}):
         stack = np.stack([c for c in vectors if c.size == n])
-        norms = [_lr_norms(stack, Exponent(r)).tolist() for r in r_values]
-        yield from zip(mean(stack).tolist(), zip(*norms))
+        norms = _mixed_norms(stack[:, None, :], r_values, (1.0,))[:, :, 0]
+        yield from zip(mean(stack).tolist(), norms.tolist())
 
 
 @dataclass(frozen=True)
@@ -66,7 +67,7 @@ def check_witness_sharpness(seed: int, grid: int = 20,
     a0 = witness_a0("real")
     norm = real_sup_norm(a0)
     invs, ps = _reciprocal_grid(grid)
-    norms = _mixed_norm_grid(a0.entries[None], ps, ps)[0]
+    norms = _mixed_norms(a0.entries[None], ps, ps)[0]
     worst = 0.0
     count = 0
     regions = set()
@@ -97,9 +98,9 @@ def check_real_upper_bound(seed: int, forms_per_shape: int = 1000,
     """No random form beats the ceiling 2^max(0, 1/a+1/b-1) anywhere on the grid."""
     slack = 1e-9
     invs, ps = _reciprocal_grid(grid)
-    sums = np.add.outer(invs, invs)
-    admissible = sums <= 1.5
-    ceilings = np.power(2.0, np.maximum(0.0, sums - 1.0)) * ceiling_scale
+    admissible = np.add.outer(invs, invs) <= 1.5
+    ceilings = np.array([real_constant(ExponentPair.of(ps[i], ps[j])).exact
+                         for i, j in zip(*np.nonzero(admissible))]) * ceiling_scale
     min_margin = math.inf
     checked = 0
     rng_index = 0
@@ -108,8 +109,8 @@ def check_real_upper_bound(seed: int, forms_per_shape: int = 1000,
             seeds = range(seed + rng_index, seed + rng_index + forms_per_shape)
             stack = np.stack([random_form("real", n, n, dist, seed=s).entries for s in seeds])
             rng_index += forms_per_shape
-            ratios = _mixed_norm_grid(stack, ps, ps) / _real_norms(stack)[:, None, None]
-            for row in (ceilings + slack - ratios)[:, admissible]:
+            ratios = _mixed_norms(stack, ps, ps) / _real_norms(stack)[:, None, None]
+            for row in ceilings + slack - ratios[:, admissible]:
                 min_margin = min(min_margin, float(row.min()))
                 checked += 1
     return CheckResult(
@@ -133,6 +134,8 @@ def check_lemma_ceilings(seed: int, forms: int = 1000,
     keys = {(math.inf, 1.0, 0), (2.0, 2.0, 0), *((a, b, 0) for a, b in mink_pairs),
             *((b, a, 1) for a, b in mink_pairs),
             *((a, b, 0) for a, bs in interp_b.items() for b in bs)}
+    exps = sorted({p for a, b, _ in keys for p in (a, b)})
+    at = {p: i for i, p in enumerate(exps)}
     shapes = {}
     for t in range(forms):
         shapes.setdefault((2 + (t % 7), 2 + ((t * 3 + 1) % 7)), []).append(t)
@@ -140,12 +143,11 @@ def check_lemma_ceilings(seed: int, forms: int = 1000,
     for (k, n), ts in shapes.items():
         stack = np.stack([random_form("real", k, n, "gaussian" if t % 2 == 0 else "sign",
                                       seed=seed + t).entries for t in ts])
-        cols = {"norm": _real_norms(stack).tolist()}
-        for a, b, side in keys:
-            cols[a, b, side] = _mixed_norms(np.swapaxes(stack, -1, -2) if side else stack,
-                                            ExponentPair.of(a, b)).tolist()
+        norms = _real_norms(stack).tolist()
+        grids = [_mixed_norms(s, exps, exps).tolist() for s in (stack, np.swapaxes(stack, -1, -2))]
         for i, t in enumerate(ts):
-            values[t] = {key: col[i] for key, col in cols.items()}
+            values[t] = {"norm": norms[i], **{(a, b, side): grids[side][i][at[a]][at[b]]
+                                              for a, b, side in keys}}
     min_margin = math.inf
     worst_kind = ""
 

@@ -5,7 +5,7 @@ import pytest
 
 from litt43.errors import SerializationError
 from litt43.exponents import ExponentPair, conjugate
-from litt43.forms import (BilinearForm, _mixed_norm_grid, form_from_json, form_to_json,
+from litt43.forms import (BilinearForm, _mixed_norms, form_from_json, form_to_json,
                           load_form, mixed_norm, random_form, save_form, transpose,
                           witness_a0)
 
@@ -159,22 +159,32 @@ class TestMixedNorm:
 
 class TestGridHelper:
     def test_matches_public_mixed_norm(self):
-        # the vectorized grid evaluator must agree with the reference op
+        # the grid evaluator gives each (a, b) the bits of the reference op
         rng = np.random.default_rng(2)
         invs = np.arange(7) / 6.0
         ps = [math.inf if inv == 0 else 1 / inv for inv in invs]
         for _ in range(6):
             form = BilinearForm("real", rng.standard_normal((4, 5)))
-            grid = _mixed_norm_grid(form.entries[None], ps, ps)[0]
+            grid = _mixed_norms(form.entries[None], ps, ps)[0]
             for i, a in enumerate(ps):
                 for j, b in enumerate(ps):
-                    assert grid[i, j] == pytest.approx(
-                        mixed_norm(form, pair(a, b)).value, rel=1e-12)
+                    assert grid[i, j] == mixed_norm(form, pair(a, b)).value
+
+    def test_large_stack_sums_exactly_rounded(self):
+        # 101 x 100 entries per matrix take the fsum path, as mixed_norm does
+        rng = np.random.default_rng(9)
+        ps = [math.inf, 4.0, 2.0, 4.0 / 3.0, 1.0]
+        stack = rng.standard_normal((2, 101, 100))
+        grids = _mixed_norms(stack, ps, ps)
+        for form, grid in zip(stack, grids):
+            for i, a in enumerate(ps):
+                for j, b in enumerate(ps):
+                    assert grid[i, j] == mixed_norm(BilinearForm("real", form), pair(a, b)).value
 
     def test_zero_matrix(self):
         ps = [math.inf, 2.0, 1.0]
         form = BilinearForm("real", np.zeros((2, 2)))
-        assert np.all(_mixed_norm_grid(form.entries[None], ps, ps) == 0.0)
+        assert np.all(_mixed_norms(form.entries[None], ps, ps) == 0.0)
 
     def test_layout_free(self):
         # a form keeps an F-ordered caller's layout; the grid must still sum
@@ -185,10 +195,10 @@ class TestGridHelper:
             entries = rng.standard_normal((5, 13))
             strided = np.zeros((10, 39))
             strided[::2, ::3] = entries
-            expected = _mixed_norm_grid(
+            expected = _mixed_norms(
                 BilinearForm("real", entries.copy(order="C")).entries[None], ps, ps)
             for layout in (np.asfortranarray(entries), strided[::2, ::3]):
-                grid = _mixed_norm_grid(BilinearForm("real", layout).entries[None], ps, ps)
+                grid = _mixed_norms(BilinearForm("real", layout).entries[None], ps, ps)
                 assert grid.tobytes() == expected.tobytes()
 
 

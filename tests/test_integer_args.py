@@ -1,4 +1,4 @@
-"""Orders M, node counts Q and search counts all go through one validator.
+"""Orders M, node counts Q, search counts and seeds all go through one validator.
 
 A non-integer (4.0 and True included), a string, None or a value below the
 floor raises a ValueError that names the parameter and the value as given,
@@ -37,6 +37,9 @@ ENTRIES = [
     ("ceiling", "M", lambda v: ceiling("e_m", 2, v), BAD),
     ("random_form rows", "rows", lambda v: random_form("real", v, 2), BAD),
     ("random_form cols", "cols", lambda v: random_form("real", 2, v), BAD),
+    # seed = 0 is valid
+    ("random_form seed", "seed", lambda v: random_form("real", 2, 2, seed=v),
+     tuple(v for v in BAD if v != 0)),
     ("SearchConfig restarts", "restarts", lambda v: SearchConfig(restarts=v), BAD),
     # steps = 0 and seed = 0 are valid
     ("SearchConfig steps", "steps", lambda v: SearchConfig(steps=v),

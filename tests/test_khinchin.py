@@ -96,6 +96,19 @@ class TestCoefficientVector:
                 call(coeffs)
 
 
+class TestLrNorm:
+    @pytest.mark.parametrize("r", [1.0, 4.0 / 3.0, 2.0, 3.0])
+    def test_long_vector_sums_exactly_rounded(self, r):
+        # 20,000 entries are above the fsum threshold of mixed_norm, so the
+        # sum is exactly rounded whatever the order; a pairwise one misses
+        # the last bit here at every r
+        c = np.random.default_rng(5).standard_normal(20_000)
+        top = np.abs(c).max()
+        oracle = top * np.power(math.fsum(np.power(np.abs(c) / top, r)), 1.0 / r)
+        assert lr_norm(c, r) == oracle
+        assert lr_norm(np.random.default_rng(6).permutation(c), r) == oracle
+
+
 class TestRademacherAverage:
     def test_pair_of_ones(self):
         # patterns give |2|, 0, 0, |-2|; the average is 1

@@ -276,7 +276,7 @@ def test_batched_cores_match_public_functions(case, pair, m, cap, bound):
     with mock.patch.object(opnorm, "_SIGN_TABLE_CAP", sign_cap), \
             mock.patch.object(opnorm, "_ROOT_TABLE_CAP", root_cap), \
             mock.patch.object(opnorm, "_STACK_ELEMENTS", bound):
-        mixed = forms._mixed_norms(stack, pair)
+        mixed = forms._mixed_norms(stack, (pair.a.value,), (pair.b.value,))[:, 0, 0]
         real = opnorm._real_norms(stack) if field == "real" else None
         grid = opnorm._grid_norms(stack, m) if stack.shape[-1] <= 4 else None
         for i, member in enumerate(members):
@@ -295,13 +295,13 @@ _GRID_EXPONENTS = [math.inf, 4.0, 2.0, 4.0 / 3.0, 1.0]
 @settings(max_examples=60, deadline=None)
 @given(_form_stacks())
 def test_grid_stack_members_match_batch_of_one(case):
-    # each member of a _mixed_norm_grid stack (C, F, strided or reversed,
+    # each member of a _mixed_norms grid stack (C, F, strided or reversed,
     # in a C, F or reversed stack) gets the bits of its own batch of one
     _, members, stack = case
     ps = _GRID_EXPONENTS
-    grids = forms._mixed_norm_grid(stack, ps, ps)
+    grids = forms._mixed_norms(stack, ps, ps)
     for i, member in enumerate(members):
-        alone = forms._mixed_norm_grid(member[None], ps, ps)[0]
+        alone = forms._mixed_norms(member[None], ps, ps)[0]
         assert grids[i].tobytes() == alone.tobytes()
 
 
