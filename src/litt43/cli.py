@@ -297,10 +297,19 @@ def _cmd_khinchin(args) -> int:
 
 
 def _cmd_search(args) -> int:
+    if args.kind == "khinchin" and args.K is not None:
+        raise ValueError("--K applies to form searches; a khinchin search "
+                         "takes its vector length from --N")
     cfg = SearchConfig(restarts=args.restarts, steps=args.steps, scale=args.scale,
-                       seed=args.seed, dims=(args.K, args.N),
+                       seed=args.seed, dims=(2 if args.K is None else args.K, args.N),
                        budget_seconds=args.budget_seconds)
-    workers = args.workers or int(os.environ.get("LITT43_WORKERS", "1"))
+    workers = args.workers
+    if not workers:
+        value = os.environ.get("LITT43_WORKERS", "1")
+        try:
+            workers = int(value)
+        except ValueError:
+            raise ValueError(f"LITT43_WORKERS must be an integer, got {value!r}") from None
     if args.kind == "form":
         pair = ExponentPair.of(args.a, args.b)
         result = maximize_ratio(args.field, pair, cfg, m=args.M, workers=workers)
@@ -409,7 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("rademacher", "em", "steinhaus"),
                    default="rademacher")
     p.add_argument("--r", default="2")
-    p.add_argument("--K", type=int, default=2)
+    p.add_argument("--K", type=int, default=None,
+                   help="rows of a form search (default 2); refused for --kind khinchin")
     p.add_argument("--N", type=int, default=2)
     p.add_argument("--M", type=int, default=16)
     p.add_argument("--Q", type=int, default=64)

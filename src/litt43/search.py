@@ -29,6 +29,18 @@ alone.  A window is as large as keeps its tables within 8192 elements,
 so an objective that fills that with one evaluation steps one proposal
 at a time, as the serial path did, with nothing evaluated in vain.
 
+Restarts climb in lock-step groups.  Each keeps its own generator, noise,
+scale ladder and step count; a round stacks the windows of every restart
+of the group that has steps left into one ``normalize`` and one ``ratios``
+call, and applies the first-improvement rule to each restart's slice, so
+the per-call overhead is paid once per round rather than once per window.
+A group holds at most ``_GROUP_ELEMENTS // (window * cost)`` consecutive
+restarts: cheap objectives stack many, while an objective whose windows
+fill that bound alone climbs one restart at a time, since a larger stack
+only falls out of cache.  A search with a wall-clock budget runs groups
+of one restart, and a process pool maps over groups, at least one per
+worker.
+
 Complex form searches cannot evaluate the true operator norm, only the
 certified interval from ``opnorm.complex_norm_bounds``.  The reported
 ``best_ratio`` divides by the interval's *upper* endpoint (pessimistic:
@@ -50,6 +62,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional, Union
 
@@ -82,6 +95,14 @@ _SCALE_REGROWTH_STEPS = 20  # bounded re-expansion on improvement
 # as many as keep its tables within _WINDOW_ELEMENTS elements in all.
 _WINDOW_ELEMENTS = 8192
 _MAX_WINDOW = 64
+# The work of one Steinhaus AGM node in table elements: on tables of 2^12
+# elements (batches of 1 and 16; 2-core Xeon, numpy 2.4.6) a node took
+# 52-53 ns against 7.3-8.8 ns per term of the sign walk.
+_AGM_NODE_COST = 6
+# A lock-step round stacks at most _GROUP_ELEMENTS table elements: 4 x 300
+# steps of a 12x12 real search took 179 ms one restart at a time, 136 ms
+# in rounds of 2 (49,152 elements) and 281 ms in rounds of 4 (98,304).
+_GROUP_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -148,12 +169,18 @@ class _Objective:
     """A scale-invariant ratio of points of one shape.
 
     ``ratios`` evaluates a stack of points (leading axis) in one kernel
-    call and lists the ratios, NaN where one is undefined.
+    call and returns their ratios as an array, NaN where one is undefined.
     """
 
     def ratio(self, x) -> Optional[float]:
-        value = self.ratios(x[None])[0]
+        value = float(self.ratios(x[None])[0])  # a float: checkpoints serialize it
         return None if math.isnan(value) else value
+
+
+def _quotients(numerators, denominators, defined) -> np.ndarray:
+    """numerators / denominators where ``defined``, NaN elsewhere."""
+    return np.divide(numerators, denominators, out=np.full(len(numerators), math.nan),
+                     where=defined)
 
 
 def _int_param(params: dict, name: str, low: int, even: bool = False) -> int:
@@ -184,15 +211,14 @@ class _FormObjective(_Objective):
     def normalize(self, X):
         return X
 
-    def ratios(self, X) -> list:
+    def ratios(self, X) -> np.ndarray:
         numerators = _mixed_norms(X, (self.pair.a.value,), (self.pair.b.value,))[:, 0, 0]
         if self.field == "real":
             denominators = _real_norms(X)
         else:
             # pessimistic ratio: divide by the certified upper bound
             denominators = _grid_norms(X, self.m) / r_m(self.m)
-        return [math.nan if d < 1e-12 else n / d
-                for n, d in zip(numerators.tolist(), denominators.tolist())]
+        return _quotients(numerators, denominators, denominators >= 1e-12)
 
     def final_ratios(self, x):
         """(best_ratio, optimistic_ratio) at the climbed point."""
@@ -235,13 +261,15 @@ class _KhinchinObjective(_Objective):
         return (self.n,)
 
     def cost(self, shape) -> int:
-        """Table elements one evaluation builds.
+        """Table elements one evaluation builds, or their equal in work.
 
-        Steinhaus counts q^(N-1), not the q^(N-2) nodes it walks: the AGM
-        that integrates one angle costs about as much per node as q terms.
+        A Steinhaus evaluation walks q^(N-2) nodes, and each node's AGM is
+        priced at _AGM_NODE_COST table elements.
         """
-        nodes = {"rademacher": 2, "e_m": self.m, "steinhaus": self.q}[self.model]
-        return nodes ** (shape[-1] - 1)
+        n = shape[-1]
+        if self.model == "steinhaus":
+            return _AGM_NODE_COST * self.q ** max(n - 2, 0)
+        return {"rademacher": 2, "e_m": self.m}[self.model] ** (n - 1)
 
     def normalize(self, X):
         norms = _lr_norms(X, self.r)
@@ -255,9 +283,10 @@ class _KhinchinObjective(_Objective):
             return _mean_abs(X, self.m, DEFAULT_EVAL_BUDGET)
         return _quadrature(X, self.q)[0]
 
-    def ratios(self, X) -> list:
-        return [math.nan if n == 0.0 or a < 1e-12 * n else n / a
-                for n, a in zip(_lr_norms(X, self.r).tolist(), self._averages(X).tolist())]
+    def ratios(self, X) -> np.ndarray:
+        numerators, averages = _lr_norms(X, self.r), self._averages(X)
+        return _quotients(numerators, averages,
+                          (numerators != 0.0) & (averages >= 1e-12 * numerators))
 
     def final_ratios(self, x):
         return self.ratio(x), None
@@ -281,54 +310,87 @@ def _make_objective(kind: str, params: dict):
 # the climber
 # ---------------------------------------------------------------------------
 
-def _run_restart(args):
-    kind, params, cfg, restart = args
-    objective = _make_objective(kind, params)
-    rng = np.random.default_rng(cfg.seed + restart)
-    shape = objective.shape(cfg.dims)
-    current = None
-    redraws = 0
-    while current is None and redraws <= 100:
+def _window(cost: int) -> int:
+    """Proposals per step window of one restart, for evaluations of ``cost``."""
+    return min(_MAX_WINDOW, max(1, _WINDOW_ELEMENTS // cost))
+
+
+def _start(objective, rng, shape):
+    """The restart's first point and its ratio, redrawn while the ratio is undefined."""
+    for _ in range(101):
         x = objective.normalize(_gaussians(rng, 1, shape, objective.field))[0]
         current = objective.ratio(x)
-        redraws += 1
-    if current is None:
-        raise RuntimeError("could not draw a starting point with a nonzero denominator")
-    window = min(_MAX_WINDOW, max(1, _WINDOW_ELEMENTS // objective.cost(shape)))
-    scale = cfg.scale
-    events = [(0, current)]
-    noise = _gaussians(rng, 0, shape, objective.field)  # drawn, not yet used
+        if current is not None:
+            return x, current
+    raise RuntimeError("could not draw a starting point with a nonzero denominator")
+
+
+def _run_restarts(kind, params, cfg, restarts):
+    """Climb the given restarts in lock-step; the (x, events) of each, in order."""
+    objective = _make_objective(kind, params)
+    shape = objective.shape(cfg.dims)
+    window = _window(objective.cost(shape))
     ladder_shape = (-1,) + (1,) * len(shape)
-    done = 0
-    while done < cfg.steps:
-        # the next w steps as if every one is rejected: their noise is fixed by
-        # the stream, their scales by the decay ladder's repeated multiplication
-        w = min(window, cfg.steps - done)
-        if len(noise) < w:
-            noise = np.concatenate([noise, _gaussians(rng, w - len(noise), shape,
-                                                      objective.field)])
-        scales = np.multiply.accumulate([scale] + [_SCALE_DECAY] * (w - 1))
-        candidates = objective.normalize(x + scales.reshape(ladder_shape) * noise[:w])
-        # the first improvement is the serial step; later ones are moot
-        # (NaN, an undefined ratio, is never an improvement)
-        ratios = np.array(objective.ratios(candidates))
-        k = int(np.argmax(ratios > current))
-        if ratios[k] > current:
-            x, current = candidates[k], float(ratios[k])
-            scale = min(cfg.scale, scales[k] / _SCALE_DECAY ** _SCALE_REGROWTH_STEPS)
-            events.append((done + k + 1, current))
-        else:
-            k = w - 1
-            scale = scales[-1] * _SCALE_DECAY
-        noise = noise[k + 1:]
-        done += k + 1
+    rngs = [np.random.default_rng(cfg.seed + restart) for restart in restarts]
+    xs, currents = map(list, zip(*(_start(objective, rng, shape) for rng in rngs)))
+    scales = [cfg.scale] * len(rngs)
+    events = [[(0, current)] for current in currents]
+    noise = [_gaussians(rng, 0, shape, objective.field) for rng in rngs]  # drawn, not yet used
+    done = [0] * len(rngs)
+    active = list(range(len(rngs))) if cfg.steps else []
+    while active:
+        # each active restart's next w steps as if every one is rejected: their
+        # noise is fixed by its stream, their scales by the decay ladder's
+        # repeated multiplication; all the windows go to the kernels as one stack
+        ladders, stack = [], []
+        for i in active:
+            w = min(window, cfg.steps - done[i])
+            if len(noise[i]) < w:
+                noise[i] = np.concatenate([noise[i], _gaussians(rngs[i], w - len(noise[i]),
+                                                                shape, objective.field)])
+            ladders.append(np.multiply.accumulate([scales[i]] + [_SCALE_DECAY] * (w - 1)))
+            stack.append(xs[i] + ladders[-1].reshape(ladder_shape) * noise[i][:w])
+        candidates = objective.normalize(np.concatenate(stack))
+        ratios = objective.ratios(candidates)
+        offset = 0
+        for i, ladder in zip(active, ladders):
+            # the first improvement in the window is the serial step; later ones
+            # are moot (NaN, an undefined ratio, is never an improvement)
+            improved = ratios[offset:offset + len(ladder)] > currents[i]
+            k = int(np.argmax(improved))
+            if improved[k]:
+                xs[i], currents[i] = candidates[offset + k], float(ratios[offset + k])
+                scales[i] = min(cfg.scale, ladder[k] / _SCALE_DECAY ** _SCALE_REGROWTH_STEPS)
+                events[i].append((done[i] + k + 1, currents[i]))
+            else:
+                k = len(ladder) - 1
+                scales[i] = ladder[-1] * _SCALE_DECAY
+            noise[i] = noise[i][k + 1:]
+            done[i] += k + 1
+            offset += len(ladder)
+        active = [i for i in active if done[i] < cfg.steps]
     # scale invariance spot check: the objective must not depend on |x|
-    doubled = objective.ratio(2.0 * x)
-    if doubled is not None and abs(doubled - current) > 1e-12 * max(current, 1.0):
-        raise RuntimeError(
-            f"objective is not scale invariant: ratio(x)={current!r} ratio(2x)={doubled!r}"
-        )
-    return x, events
+    for current, doubled in zip(currents, objective.ratios(2.0 * np.stack(xs)).tolist()):
+        if abs(doubled - current) > 1e-12 * max(current, 1.0):
+            raise RuntimeError(
+                f"objective is not scale invariant: ratio(x)={current!r} ratio(2x)={doubled!r}"
+            )
+    return list(zip(xs, events))
+
+
+def _groups(objective, cfg: SearchConfig, workers: int) -> list:
+    """The restarts of a search split into consecutive lock-step groups.
+
+    A group stacks at most _GROUP_ELEMENTS table elements per round, so an
+    objective whose windows fill that alone climbs one restart at a time.
+    A budgeted search runs groups of one, so the budget is checked after
+    every restart; a pool gets at least one group per worker.
+    """
+    cost = objective.cost(objective.shape(cfg.dims))
+    size = 1 if cfg.budget_seconds is not None else max(
+        1, _GROUP_ELEMENTS // (_window(cost) * cost))
+    size = min(size, -(-cfg.restarts // workers))
+    return [range(i, min(i + size, cfg.restarts)) for i in range(0, cfg.restarts, size)]
 
 
 def _search(kind: str, params: dict, cfg: SearchConfig, workers: int = 1) -> SearchResult:
@@ -336,17 +398,18 @@ def _search(kind: str, params: dict, cfg: SearchConfig, workers: int = 1) -> Sea
         raise ValueError(f"workers must be >= 1, got {workers}")
     objective = _make_objective(kind, params)
     ceiling, provenance = objective.ceiling()
-    jobs = [(kind, params, cfg, i) for i in range(cfg.restarts)]
+    groups = _groups(objective, cfg, workers)
     deadline = (time.monotonic() + cfg.budget_seconds
                 if cfg.budget_seconds is not None else None)
-    # outcomes arrive in restart order, serially or from the pool; once an
-    # outcome finds the wall-clock budget spent, the later restarts are
-    # dropped (the pool cancels those it has not started)
+    # outcomes arrive in restart order, serially or from the pool; once a
+    # group finds the wall-clock budget spent, the later groups are dropped
+    # (the pool cancels those it has not started)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     outcomes = []
     try:
-        for outcome in (pool.map if pool else map)(_run_restart, jobs):
-            outcomes.append(outcome)
+        for outcome in (pool.map if pool else map)(
+                _run_restarts, repeat(kind), repeat(params), repeat(cfg), groups):
+            outcomes.extend(outcome)
             if deadline is not None and time.monotonic() > deadline:
                 break
     finally:
@@ -400,7 +463,7 @@ def maximize_khinchin_ratio(model: str, r, n: int, cfg: SearchConfig,
     model: "rademacher" (real vectors), "e_m" (complex, needs ``m``), or
     "steinhaus" (complex, quadrature with ``q`` nodes per angle).
     Vectors are renormalized to unit l_r between steps.  The vector length
-    is ``n``; ``cfg.dims`` is not read (so ``search --kind khinchin`` ignores
+    is ``n``; ``cfg.dims`` is not read (so ``search --kind khinchin`` refuses
     ``--K``, and ``--N`` gives the length).
     """
     r = _as_exponent(r)

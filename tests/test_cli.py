@@ -248,6 +248,8 @@ class TestBadInput:
         ("search", "--budget-seconds", "nan", "--restarts", "1", "--steps", "1"),
         ("search", "--budget-seconds", "-1", "--restarts", "1", "--steps", "1"),
         ("search", "--workers", "-1", "--restarts", "1", "--steps", "1"),
+        ("search", "--kind", "khinchin", "--K", "2", "--N", "3", "--restarts", "1",
+         "--steps", "1"),
     ])
     def test_exit_four_without_traceback(self, capsys, tmp_path, argv):
         if argv[0] == "norm":
@@ -290,6 +292,28 @@ class TestSearchParams:
                            "--steps", "1")
         assert code == 4
         assert "Traceback" not in err and "params.q" in err
+
+
+    @pytest.mark.parametrize("k", ["1", "7"])
+    def test_khinchin_search_refuses_k(self, capsys, k):
+        # the vector length is --N; an explicit --K was once silently ignored
+        code, out, err = run(capsys, "search", "--kind", "khinchin", "--K", k, "--N", "3",
+                             "--restarts", "1", "--steps", "1")
+        assert (code, out) == (4, "")
+        assert "--K" in err and "--N" in err
+
+    @pytest.mark.parametrize("value", ["two", "1.5", ""])
+    def test_non_integer_workers_variable_is_named(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("LITT43_WORKERS", value)
+        code, _, err = run(capsys, "search", "--restarts", "1", "--steps", "1")
+        assert code == 4
+        assert err.startswith("invalid input: LITT43_WORKERS must be an integer")
+
+    def test_form_search_keeps_two_rows_by_default(self, capsys):
+        argv = ("search", "--N", "3", "--restarts", "2", "--steps", "50", "--seed", "4")
+        _, default, _ = run(capsys, *argv)
+        code, explicit, _ = run(capsys, *argv, "--K", "2")
+        assert code == 0 and default == explicit
 
 
 class TestSearchCommand:

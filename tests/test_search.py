@@ -165,6 +165,14 @@ class TestKhinchinSearch:
         assert "exploratory" in result.ceiling_provenance
         assert result.best_ratio <= result.ceiling + 1e-6
 
+    @pytest.mark.parametrize("model, n", [("rademacher", 4), ("e_m", 3), ("steinhaus", 3)])
+    def test_best_ratio_is_a_python_float(self, model, n):
+        # checkpoints serialize it: an np.float64 must not leak out of the kernels
+        cfg = SearchConfig(restarts=2, steps=20, scale=0.5, seed=6, dims=(1, n))
+        result = maximize_khinchin_ratio(model, 2.0, n, cfg, m=3, q=16)
+        assert type(result.best_ratio) is float
+        assert type(evaluate_witness(result)) is float
+
     def test_em_requires_m(self):
         with pytest.raises(ValueError):
             maximize_khinchin_ratio("e_m", 2.0, 4, small_cfg())
@@ -443,22 +451,34 @@ _DIMS = {"real-1x1": (1, 1), "real-3x5": (3, 5), "real-8x8": (8, 8),
          "real-12x12": (12, 12), "complex-3x3-m16": (3, 3)}
 
 
+def _cfg(case, steps, restarts=5):
+    return SearchConfig(restarts=restarts, steps=steps, scale=0.5, seed=17,
+                        dims=_DIMS.get(case, (2, 2)))
+
+
+def _witness_bytes(result):
+    witness = (result.witness.entries if isinstance(result.witness, BilinearForm)
+               else result.witness.values)
+    return np.asarray(witness).tobytes()
+
+
 def _assert_matches_serial(case, steps, workers):
-    cfg = SearchConfig(restarts=2, steps=steps, scale=0.5, seed=17,
-                       dims=_DIMS.get(case, (2, 2)))
+    cfg = _cfg(case, steps)
     result = _TRAJECTORIES[case](cfg, workers)
     reference = _SerialReference(result.kind, result.params)
     improved_at, best_ratio, optimistic, best_x = reference.search(cfg)
     assert result.improved_at == improved_at
     assert result.best_ratio == best_ratio
     assert result.optimistic_ratio == optimistic
-    witness = (result.witness.entries if isinstance(result.witness, BilinearForm)
-               else result.witness.values)
-    assert witness.tobytes() == np.asarray(best_x).tobytes()
+    assert _witness_bytes(result) == np.asarray(best_x).tobytes()
 
 
 class TestStepWindows:
-    """The windowed climber against the per-step reference, bit for bit."""
+    """The lock-step windowed climber against the per-step reference, bit for bit.
+
+    Five restarts leave the climber's lock-step groups holding restarts
+    that stop after different numbers of rounds.
+    """
 
     @pytest.mark.parametrize("steps", [0, 1, 63, 64, 65, 300])
     @pytest.mark.parametrize("case", sorted(_TRAJECTORIES))
@@ -468,6 +488,34 @@ class TestStepWindows:
     @pytest.mark.parametrize("case", sorted(_TRAJECTORIES))
     def test_matches_serial_trajectory_with_workers(self, case):
         _assert_matches_serial(case, 65, workers=2)
+
+    @pytest.mark.parametrize("size", [1, 2])
+    @pytest.mark.parametrize("case", ["real-2x2", "rademacher-n8", "steinhaus-n3-q32"])
+    def test_group_split_leaves_result_unchanged(self, monkeypatch, case, size):
+        # a smaller stack bound splits the five restarts into groups of
+        # ``size``; the result must not see the split
+        cfg = _cfg(case, 300)
+        whole = _TRAJECTORIES[case](cfg, 1)
+        objective = search._make_objective(whole.kind, whole.params)
+        assert len(search._groups(objective, cfg, 1)) == 1
+        cost = objective.cost(objective.shape(cfg.dims))
+        monkeypatch.setattr(search, "_GROUP_ELEMENTS", size * search._window(cost) * cost)
+        groups = search._groups(objective, cfg, 1)
+        assert [len(group) for group in groups] == {1: [1] * 5, 2: [2, 2, 1]}[size]
+        assert [r for group in groups for r in group] == list(range(5))
+        split = _TRAJECTORIES[case](cfg, 1)
+        assert (split.improved_at, split.best_ratio, split.restarts_run) == (
+            whole.improved_at, whole.best_ratio, whole.restarts_run)
+        assert _witness_bytes(split) == _witness_bytes(whole)
+
+    def test_pool_gets_a_group_per_worker(self):
+        objective = search._make_objective("form_ratio", {"field": "real", "a": 2.0, "b": 2.0})
+        cfg = SearchConfig(restarts=5, steps=10, scale=0.5, seed=1, dims=(2, 2))
+        assert search._groups(objective, cfg, 1) == [range(5)]
+        assert search._groups(objective, cfg, 2) == [range(3), range(3, 5)]
+        budgeted = SearchConfig(restarts=3, steps=10, scale=0.5, seed=1, dims=(2, 2),
+                                budget_seconds=60.0)
+        assert search._groups(objective, budgeted, 1) == [range(i, i + 1) for i in range(3)]
 
     @staticmethod
     def _largest_batch(monkeypatch, search):
@@ -486,6 +534,13 @@ class TestStepWindows:
         cfg = SearchConfig(restarts=1, steps=200, scale=0.5, seed=3, dims=(2, 2))
         assert self._largest_batch(
             monkeypatch, lambda: maximize_ratio("real", _PAIR, cfg)) == 64
+
+    @pytest.mark.parametrize("restarts", [2, 7])
+    def test_cheap_objective_stacks_every_restart(self, monkeypatch, restarts):
+        # one kernel call per round takes the window of every restart
+        cfg = SearchConfig(restarts=restarts, steps=200, scale=0.5, seed=3, dims=(2, 2))
+        assert self._largest_batch(
+            monkeypatch, lambda: maximize_ratio("real", _PAIR, cfg)) == restarts * 64
 
     def test_expensive_objectives_step_one_proposal_at_a_time(self, monkeypatch):
         # without the bound on table elements a window of 64 Steinhaus N = 6
