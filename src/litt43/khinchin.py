@@ -65,6 +65,11 @@ _TABLE_CAP = 1 << 20  # patterns per tabulated block of the walk
 # eight Steinhaus ops of the averages benchmark, 2-core host, medians of 5:
 # 154 / 137 / 117 / 199 / 249 ms at 2^20 / 2^18 / 2^16 / 2^14 / 2^12).
 _AGM_TABLE_CAP = 1 << 16
+# The work of one AGM node in table elements, by which the walk prices a
+# quadrature stack and the climber a Steinhaus evaluation: on tables of 2^12
+# elements (batches of 1 and 16; 2-core Xeon, numpy 2.4.6) a node took
+# 52-53 ns against 7.3-8.8 ns per term of the sign walk.
+_AGM_NODE_COST = 6
 # AGM passes: at the smallest relative gap two doubles can have,
 # |a - rho| / (a + rho) >= 2^-54, nine reach the limit; the tenth is margin.
 _AGM_PASSES = 10
@@ -292,7 +297,7 @@ def _quadrature(A: np.ndarray, q: int, budget: int = DEFAULT_EVAL_BUDGET):
         return np.concatenate((means.sum(axis=-1)[:, None], coarse[:, None]), axis=1)
 
     blocks = _walk(U[:, -1:], U[:, None, 1:-1], q, _AGM_TABLE_CAP, level_sums,
-                   np.abs(U[:, 0]))
+                   np.abs(U[:, 0]), unit=_AGM_NODE_COST)
     if len(blocks) == 1:
         fine, coarse = blocks[0].T
     else:

@@ -53,8 +53,10 @@ DEFAULT_EVAL_BUDGET = 10**8
 _SIGN_TABLE_CAP = 1 << 14
 _ROOT_TABLE_CAP = 1 << 17
 
-# Table elements per walk over a batch: larger stacks fall out of cache
-# (full verify blei_khinchine: 0.55 s at 2^16-2^20, 0.67 s with no bound).
+# Table elements per walk over a batch, the one bound on a batched kernel
+# call: larger stacks fall out of cache (full verify blei_khinchine: 0.55 s
+# at 2^16-2^20, 0.67 s with no bound), smaller ones fault more (fast suite
+# at 2^16: 53k minor faults against 3.4k).
 _STACK_ELEMENTS = 1 << 18
 
 # Coordinate phase ascent: sweep cap, relative gain that ends the sweeps,
@@ -131,7 +133,7 @@ def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np
 
 
 def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
-          *carry) -> list:
+          *carry, unit: int = 1) -> list:
     """Apply ``reduce`` to every block of the moduli |first + cols @ w|, w in Omega_M^L.
 
     ``first`` (..., K) is the pinned column; the L columns of ``cols``
@@ -142,29 +144,31 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
     remaining high digits run in mixed-radix order, each adding its offset
     to the whole block.  The split depends on (M, L, table_cap) alone, never
     on the batch size, so every member's sums associate as in a walk of its
-    own.  A leading batch axis with over _STACK_ELEMENTS table elements is
-    walked in parts of max(1, _STACK_ELEMENTS // (K * T)) members, and the
-    reductions are joined along it.  Each ``carry`` array has that batch
-    axis first and travels with its members: ``reduce(mods, *carry)`` gets
-    the slices of the members in ``mods``.  Block h, column t holds pattern
-    g = h * T + t, digits ``np.unravel_index(g, (M,) * L, order="F")``
-    (column 0 least significant).  The high-digit blocks share one buffer,
-    so ``reduce`` must not keep its argument.  Returns the list of
-    reductions, in block order.
+    own.  ``unit`` prices the work of ``reduce`` per table element, in
+    table elements.  A leading batch axis over _STACK_ELEMENTS of those
+    units is walked in parts of max(1, _STACK_ELEMENTS // (K * T * unit))
+    members, and the reductions are joined along it.  Each ``carry`` array
+    has that batch axis first and travels with its members:
+    ``reduce(mods, *carry)`` gets the slices of the members in ``mods``.
+    Block h, column t holds pattern g = h * T + t, digits
+    ``np.unravel_index(g, (M,) * L, order="F")`` (column 0 least
+    significant).  The high-digit blocks share one buffer, so ``reduce``
+    must not keep its argument.  Returns the list of reductions, in block
+    order.
     """
     points = _roots(m)
     low = cols.shape[-1]
     while low > 1 and m ** low > table_cap:
         low -= 1
-    if first.ndim > 1 and len(first) > 1 and first.size * m ** low > _STACK_ELEMENTS:
+    if first.ndim > 1 and len(first) > 1 and first.size * m ** low * unit > _STACK_ELEMENTS:
         # only array reductions are joined: the (value, index) pairs of
         # complex_norm_bounds come from a batch of one, never split
-        step = max(1, _STACK_ELEMENTS // (first.shape[-1] * m ** low))
+        step = max(1, _STACK_ELEMENTS // (first.shape[-1] * m ** low * unit))
         parts = []  # a loop, not a comprehension: no closure cells for the whole walk
         for i in range(0, len(first), step):
             part = slice(i, i + step)
             parts.append(_walk(first[part], cols[part], m, table_cap, reduce,
-                               *map(operator.itemgetter(part), carry)))
+                               *map(operator.itemgetter(part), carry), unit=unit))
         return [np.concatenate(blocks) for blocks in zip(*parts)]
     table = _partial_sums(first, cols[..., :low], points)
     if low == cols.shape[-1]:

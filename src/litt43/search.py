@@ -34,12 +34,12 @@ scale ladder and step count; a round stacks the windows of every restart
 of the group that has steps left into one ``normalize`` and one ``ratios``
 call, and applies the first-improvement rule to each restart's slice, so
 the per-call overhead is paid once per round rather than once per window.
-A group holds at most ``_GROUP_ELEMENTS // (window * cost)`` consecutive
-restarts: cheap objectives stack many, while an objective whose windows
-fill that bound alone climbs one restart at a time, since a larger stack
-only falls out of cache.  A search with a wall-clock budget runs groups
-of one restart, and a process pool maps over groups, at least one per
-worker.
+A group holds ``ceil(restarts / workers)`` consecutive restarts, so a
+process pool maps over one group per worker; a search with a wall-clock
+budget runs groups of one restart.  The stack of a round is as large as
+its group, and the pattern walk (``opnorm._walk``) splits the kernel call
+into parts that fit its one bound on table elements, the bound of every
+other batched call too.
 
 Complex form searches cannot evaluate the true operator norm, only the
 certified interval from ``opnorm.complex_norm_bounds``.  The reported
@@ -73,7 +73,7 @@ from .exponents import (CEILING_SLACK, Exponent, ExponentPair, _as_exponent, _as
                         complex_constant_bounds, real_constant)
 from .forms import BilinearForm, _mixed_norms, form_from_json, form_to_json, mixed_norm
 from .jsonio import canonical_dumps, loads, require_field
-from .khinchin import (CoefficientVector, _lr_norms, _mean_abs, _quadrature,
+from .khinchin import (_AGM_NODE_COST, CoefficientVector, _lr_norms, _mean_abs, _quadrature,
                        _rademacher_means, ceiling)
 from .opnorm import (DEFAULT_EVAL_BUDGET, _grid_norms, _real_norms, complex_norm_bounds,
                      r_m, real_sup_norm)
@@ -95,14 +95,6 @@ _SCALE_REGROWTH_STEPS = 20  # bounded re-expansion on improvement
 # as many as keep its tables within _WINDOW_ELEMENTS elements in all.
 _WINDOW_ELEMENTS = 8192
 _MAX_WINDOW = 64
-# The work of one Steinhaus AGM node in table elements: on tables of 2^12
-# elements (batches of 1 and 16; 2-core Xeon, numpy 2.4.6) a node took
-# 52-53 ns against 7.3-8.8 ns per term of the sign walk.
-_AGM_NODE_COST = 6
-# A lock-step round stacks at most _GROUP_ELEMENTS table elements: 4 x 300
-# steps of a 12x12 real search took 179 ms one restart at a time, 136 ms
-# in rounds of 2 (49,152 elements) and 281 ms in rounds of 4 (98,304).
-_GROUP_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -117,8 +109,8 @@ class SearchConfig:
     def __post_init__(self):
         for name, low in (("restarts", 1), ("steps", 0), ("seed", 0)):
             object.__setattr__(self, name, _as_integer(getattr(self, name), name, low))
-        if not (self.scale > 0.0):
-            raise ValueError("perturbation scale must be positive")
+        if not 0.0 < self.scale < math.inf:
+            raise ValueError(f"perturbation scale must be positive and finite, got {self.scale!r}")
         # NaN would never expire (every deadline comparison is false)
         if self.budget_seconds is not None and not self.budget_seconds >= 0.0:
             raise ValueError(f"budget_seconds must be >= 0 or None, got {self.budget_seconds!r}")
@@ -178,9 +170,12 @@ class _Objective:
 
 
 def _quotients(numerators, denominators, defined) -> np.ndarray:
-    """numerators / denominators where ``defined``, NaN elsewhere."""
+    """numerators / denominators where ``defined`` and the numerator is finite, NaN elsewhere.
+
+    A numerator that overflowed to inf would read as an unbounded ratio.
+    """
     return np.divide(numerators, denominators, out=np.full(len(numerators), math.nan),
-                     where=defined)
+                     where=defined & np.isfinite(numerators))
 
 
 def _int_param(params: dict, name: str, low: int, even: bool = False) -> int:
@@ -310,11 +305,6 @@ def _make_objective(kind: str, params: dict):
 # the climber
 # ---------------------------------------------------------------------------
 
-def _window(cost: int) -> int:
-    """Proposals per step window of one restart, for evaluations of ``cost``."""
-    return min(_MAX_WINDOW, max(1, _WINDOW_ELEMENTS // cost))
-
-
 def _start(objective, rng, shape):
     """The restart's first point and its ratio, redrawn while the ratio is undefined."""
     for _ in range(101):
@@ -329,7 +319,7 @@ def _run_restarts(kind, params, cfg, restarts):
     """Climb the given restarts in lock-step; the (x, events) of each, in order."""
     objective = _make_objective(kind, params)
     shape = objective.shape(cfg.dims)
-    window = _window(objective.cost(shape))
+    window = min(_MAX_WINDOW, max(1, _WINDOW_ELEMENTS // objective.cost(shape)))
     ladder_shape = (-1,) + (1,) * len(shape)
     rngs = [np.random.default_rng(cfg.seed + restart) for restart in restarts]
     xs, currents = map(list, zip(*(_start(objective, rng, shape) for rng in rngs)))
@@ -378,27 +368,21 @@ def _run_restarts(kind, params, cfg, restarts):
     return list(zip(xs, events))
 
 
-def _groups(objective, cfg: SearchConfig, workers: int) -> list:
+def _groups(cfg: SearchConfig, workers: int) -> list:
     """The restarts of a search split into consecutive lock-step groups.
 
-    A group stacks at most _GROUP_ELEMENTS table elements per round, so an
-    objective whose windows fill that alone climbs one restart at a time.
-    A budgeted search runs groups of one, so the budget is checked after
-    every restart; a pool gets at least one group per worker.
+    A pool gets one group per worker.  A budgeted search runs groups of
+    one, so the budget is checked after every restart.
     """
-    cost = objective.cost(objective.shape(cfg.dims))
-    size = 1 if cfg.budget_seconds is not None else max(
-        1, _GROUP_ELEMENTS // (_window(cost) * cost))
-    size = min(size, -(-cfg.restarts // workers))
+    size = 1 if cfg.budget_seconds is not None else -(-cfg.restarts // workers)
     return [range(i, min(i + size, cfg.restarts)) for i in range(0, cfg.restarts, size)]
 
 
 def _search(kind: str, params: dict, cfg: SearchConfig, workers: int = 1) -> SearchResult:
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    workers = _as_integer(workers, "workers", 1)
     objective = _make_objective(kind, params)
     ceiling, provenance = objective.ceiling()
-    groups = _groups(objective, cfg, workers)
+    groups = _groups(cfg, workers)
     deadline = (time.monotonic() + cfg.budget_seconds
                 if cfg.budget_seconds is not None else None)
     # outcomes arrive in restart order, serially or from the pool; once a

@@ -250,6 +250,7 @@ class TestBadInput:
         ("search", "--workers", "-1", "--restarts", "1", "--steps", "1"),
         ("search", "--kind", "khinchin", "--K", "2", "--N", "3", "--restarts", "1",
          "--steps", "1"),
+        ("search", "--scale", "inf", "--restarts", "1", "--steps", "1"),
     ])
     def test_exit_four_without_traceback(self, capsys, tmp_path, argv):
         if argv[0] == "norm":

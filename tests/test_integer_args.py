@@ -55,6 +55,10 @@ ENTRIES = [
      lambda v: maximize_khinchin_ratio("e_m", 2, 3, CFG, m=v), BAD),
     ("maximize_khinchin_ratio q", "field 'params.q'",
      lambda v: maximize_khinchin_ratio("steinhaus", 2, 3, CFG, q=v), BAD),
+    ("maximize_ratio workers", "workers",
+     lambda v: maximize_ratio("real", PAIR, CFG, workers=v), BAD),
+    ("maximize_khinchin_ratio workers", "workers",
+     lambda v: maximize_khinchin_ratio("rademacher", 2, 3, CFG, workers=v), BAD),
 ]
 
 CASES = [pytest.param(name, call, value, id=f"{entry}-{value!r}")

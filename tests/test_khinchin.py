@@ -480,6 +480,29 @@ class TestQuadratureOracles:
         oracle, oracle_bounds = product_trapezoid(A, 2 * q)
         assert np.all(np.abs(values - oracle) <= bounds + oracle_bounds + 1e-14 * oracle)
 
+    @pytest.mark.parametrize("n, rows", [(4, 3), (5, 25), (6, 3)])
+    def test_stack_splits_at_the_price_of_its_nodes(self, monkeypatch, n, rows):
+        # a member walks q^(N-2) nodes of _AGM_NODE_COST table elements each,
+        # so a stack splits into parts of 170, 10 and 1 members at Q = 16
+        q = 16
+        part = max(1, opnorm._STACK_ELEMENTS // (q ** (n - 2) * khinchin._AGM_NODE_COST))
+        batches = []
+        partial_sums = opnorm._partial_sums
+
+        def spy(first, cols, points):
+            batches.append(first.shape[0])
+            return partial_sums(first, cols, points)
+
+        rng = np.random.default_rng(n)
+        A = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))
+        monkeypatch.setattr(opnorm, "_partial_sums", spy)
+        values, bounds = khinchin._quadrature(A, q)
+        assert part == {4: 170, 5: 10, 6: 1}[n]
+        assert batches == [min(part, rows - i) for i in range(0, rows, part)]
+        for row, value, bound in zip(A, values, bounds):
+            alone = khinchin._quadrature(row[None], q)
+            assert (value, bound) == (alone[0][0], alone[1][0])
+
     def test_budget_counts_walked_nodes(self):
         # q^(N-2) terms: 16^4 at N = 6
         assert steinhaus_expectation(np.ones(6), q=16, budget=16 ** 4).error_bound >= 0.0

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from litt43 import opnorm, search
+from litt43 import khinchin, opnorm, search
 from litt43.errors import SerializationError
 from litt43.exponents import ExponentPair
 from litt43.forms import BilinearForm, mixed_norm
@@ -30,8 +30,9 @@ class TestConfigValidation:
             SearchConfig(restarts=0)
         with pytest.raises(ValueError):
             SearchConfig(steps=-1)
-        with pytest.raises(ValueError):
-            SearchConfig(scale=0.0)
+        for scale in (0.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="positive and finite"):
+                SearchConfig(scale=scale)
         with pytest.raises(ValueError):
             SearchConfig(dims=(0, 2))
 
@@ -44,6 +45,21 @@ class TestConfigValidation:
     @pytest.mark.parametrize("budget", [None, 0.0, 2.5, math.inf])
     def test_accepts_none_and_non_negative_budgets(self, budget):
         assert SearchConfig(budget_seconds=budget).budget_seconds == budget
+
+    # numpy warns of each overflow, which is the input under test here
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_overflowing_proposals_are_undefined(self, tmp_path, monkeypatch):
+        # proposals of entries near 1e308 have a finite form but a mixed norm
+        # that overflows to inf: an undefined ratio, never a falsification
+        monkeypatch.chdir(tmp_path)
+        cfg = SearchConfig(restarts=1, steps=50, scale=1e308, seed=1, dims=(2, 2))
+        result = maximize_ratio("real", ExponentPair.of("4/3", "4/3"), cfg)
+        assert math.isfinite(result.best_ratio) and not result.falsification
+        assert result.best_ratio <= result.ceiling + 1e-9
+        checkpoint_save(result, tmp_path / "c.json")
+        assert checkpoint_load(tmp_path / "c.json").best_ratio == result.best_ratio
+        assert list(tmp_path.iterdir()) == [tmp_path / "c.json"]
 
     @pytest.mark.parametrize("workers", [0, -1])
     def test_rejects_workers_below_one(self, workers):
@@ -260,6 +276,7 @@ class TestCheckpoints:
         (("improved_at",), [["x", 0]], "improved_at"),
         (("improved_at",), [[None, 0]], "improved_at"),
         (("improved_at",), [[0, 151]], "improved_at"),
+        (("config", "scale"), float("inf"), "scale"),
     ])
     def test_malformed_field_is_named(self, tmp_path, keys, value, field):
         # no edit may escape as another error, be truncated (dims 2.7) or
@@ -489,36 +506,40 @@ class TestStepWindows:
     def test_matches_serial_trajectory_with_workers(self, case):
         _assert_matches_serial(case, 65, workers=2)
 
+    # table elements of one member's walk: K x 2^(N-1) signs of a 2x2 form,
+    # 2^7 signs of an N = 8 vector, 32 AGM nodes of an N = 3 vector
+    _MEMBER_ELEMENTS = {"real-2x2": 2 * 2, "rademacher-n8": 2 ** 7,
+                        "steinhaus-n3-q32": 32 * khinchin._AGM_NODE_COST}
+
     @pytest.mark.parametrize("size", [1, 2])
-    @pytest.mark.parametrize("case", ["real-2x2", "rademacher-n8", "steinhaus-n3-q32"])
+    @pytest.mark.parametrize("case", sorted(_MEMBER_ELEMENTS))
     def test_group_split_leaves_result_unchanged(self, monkeypatch, case, size):
-        # a smaller stack bound splits the five restarts into groups of
-        # ``size``; the result must not see the split
+        # a smaller walk bound splits each round of the five restarts into
+        # parts of ``size`` members; the result must not see the split
         cfg = _cfg(case, 300)
-        whole = _TRAJECTORIES[case](cfg, 1)
-        objective = search._make_objective(whole.kind, whole.params)
-        assert len(search._groups(objective, cfg, 1)) == 1
-        cost = objective.cost(objective.shape(cfg.dims))
-        monkeypatch.setattr(search, "_GROUP_ELEMENTS", size * search._window(cost) * cost)
-        groups = search._groups(objective, cfg, 1)
-        assert [len(group) for group in groups] == {1: [1] * 5, 2: [2, 2, 1]}[size]
-        assert [r for group in groups for r in group] == list(range(5))
-        split = _TRAJECTORIES[case](cfg, 1)
+        whole, whole_batches = self._batches(monkeypatch, lambda: _TRAJECTORIES[case](cfg, 1))
+        assert search._groups(cfg, 1) == [range(5)]
+        window = min(search._MAX_WINDOW, search._WINDOW_ELEMENTS // self._MEMBER_ELEMENTS[case])
+        assert max(whole_batches) == 5 * window
+        monkeypatch.setattr(opnorm, "_STACK_ELEMENTS", size * self._MEMBER_ELEMENTS[case])
+        split, split_batches = self._batches(monkeypatch, lambda: _TRAJECTORIES[case](cfg, 1))
+        assert max(split_batches) == size
         assert (split.improved_at, split.best_ratio, split.restarts_run) == (
             whole.improved_at, whole.best_ratio, whole.restarts_run)
         assert _witness_bytes(split) == _witness_bytes(whole)
 
     def test_pool_gets_a_group_per_worker(self):
-        objective = search._make_objective("form_ratio", {"field": "real", "a": 2.0, "b": 2.0})
         cfg = SearchConfig(restarts=5, steps=10, scale=0.5, seed=1, dims=(2, 2))
-        assert search._groups(objective, cfg, 1) == [range(5)]
-        assert search._groups(objective, cfg, 2) == [range(3), range(3, 5)]
+        assert search._groups(cfg, 1) == [range(5)]
+        assert search._groups(cfg, 2) == [range(3), range(3, 5)]
+        assert search._groups(cfg, 7) == [range(i, i + 1) for i in range(5)]
         budgeted = SearchConfig(restarts=3, steps=10, scale=0.5, seed=1, dims=(2, 2),
                                 budget_seconds=60.0)
-        assert search._groups(objective, budgeted, 1) == [range(i, i + 1) for i in range(3)]
+        assert search._groups(budgeted, 1) == [range(i, i + 1) for i in range(3)]
 
     @staticmethod
-    def _largest_batch(monkeypatch, search):
+    def _batches(monkeypatch, search):
+        """The result of ``search()`` and the batch size of each table it walked."""
         batches = []
         partial_sums = opnorm._partial_sums
 
@@ -526,9 +547,13 @@ class TestStepWindows:
             batches.append(first.shape[0])
             return partial_sums(first, cols, points)
 
-        monkeypatch.setattr(opnorm, "_partial_sums", spy)
-        search()
-        return max(batches)
+        with monkeypatch.context() as patch:
+            patch.setattr(opnorm, "_partial_sums", spy)
+            return search(), batches
+
+    @classmethod
+    def _largest_batch(cls, monkeypatch, search):
+        return max(cls._batches(monkeypatch, search)[1])
 
     def test_cheap_objective_fills_the_window(self, monkeypatch):
         cfg = SearchConfig(restarts=1, steps=200, scale=0.5, seed=3, dims=(2, 2))
