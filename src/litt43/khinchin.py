@@ -39,7 +39,7 @@ import numpy as np
 from .errors import CapacityError, UndefinedRatioError
 from .exponents import CEILING_SLACK, TWO_OVER_SQRT_PI, Exponent, _as_exponent, _as_integer
 from .forms import _mixed_norms
-from .opnorm import DEFAULT_EVAL_BUDGET, _walk, r_m
+from .opnorm import _WORKSPACE, DEFAULT_EVAL_BUDGET, _finite, _overflow_safe, _walk, r_m
 
 __all__ = [
     "CoefficientVector",
@@ -149,7 +149,7 @@ def lr_norm(c: Coefficients, r) -> float:
 
 
 def _block_sum(mods: np.ndarray) -> np.ndarray:
-    return mods.sum(axis=(-2, -1))
+    return np.add.reduce(mods, axis=(-2, -1))
 
 
 def _mean_abs(A: np.ndarray, m: int, budget: Optional[int] = None) -> np.ndarray:
@@ -157,6 +157,9 @@ def _mean_abs(A: np.ndarray, m: int, budget: Optional[int] = None) -> np.ndarray
 
     The last multiplier is pinned to 1 (exact by rotation invariance), so
     the walk sums M^(N-1) terms per row, which is what ``budget`` counts.
+    Entries near the top of the double range are walked at a power-of-two
+    scale (``opnorm._overflow_safe``); a mean is inf only beyond the double
+    range.
     """
     n = A.shape[-1]
     terms = m ** (n - 1)
@@ -165,10 +168,14 @@ def _mean_abs(A: np.ndarray, m: int, budget: Optional[int] = None) -> np.ndarray
             f"Omega_{m}^{n} averaging needs {terms} terms (after fixing the "
             f"global phase) but the budget is {budget}"
         )
-    sums = _walk(A[..., -1:], A[..., None, :-1], m, _TABLE_CAP, _block_sum)
-    # fsum of a single block sum is that sum, bit for bit
-    totals = sums[0] if len(sums) == 1 else np.array([math.fsum(row) for row in zip(*sums)])
-    return totals / terms
+
+    def means(A):
+        sums = _walk(A[..., -1:], A[..., None, :-1], m, _TABLE_CAP, _block_sum)
+        # fsum of a single block sum is that sum, bit for bit
+        totals = sums[0] if len(sums) == 1 else np.array([math.fsum(row) for row in zip(*sums)])
+        return totals / terms
+
+    return _overflow_safe(means, A, terms * n)
 
 
 def _rademacher_means(A: np.ndarray, cap: int = RADEMACHER_CAP) -> np.ndarray:
@@ -183,8 +190,8 @@ def _rademacher_means(A: np.ndarray, cap: int = RADEMACHER_CAP) -> np.ndarray:
 
 def rademacher_average(c: Coefficients, cap: int = RADEMACHER_CAP) -> AverageResult:
     """Exact average of |sum eta_n a_n| over all 2^N sign patterns."""
-    return AverageResult(value=float(_rademacher_means(_values(c)[None], cap)[0]),
-                         kind="rademacher", method="enumeration", error_bound=0.0)
+    value = _finite(float(_rademacher_means(_values(c)[None], cap)[0]), "the average")
+    return AverageResult(value=value, kind="rademacher", method="enumeration", error_bound=0.0)
 
 
 def khinchin_ratio(c: Coefficients, r) -> float:
@@ -210,13 +217,13 @@ def e_m_average(c: Coefficients, m: int,
                 budget: int = DEFAULT_EVAL_BUDGET) -> AverageResult:
     """Exact average over the M-th roots of unity, M an integer >= 2; M = 2 is Rademacher."""
     m = _as_integer(m, "M", 2)
-    value = float(_mean_abs(_values(c)[None], m, budget)[0])
+    value = _finite(float(_mean_abs(_values(c)[None], m, budget)[0]), "the average")
     return AverageResult(value=value, kind="e_m", method="enumeration",
                          error_bound=0.0, m=m)
 
 
 def _circle_means(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """E_t |a e^(it) + rho| for a, rho >= 0 (broadcast together), by the AGM.
+    """E_t |a e^(it) + rho| for a, rho >= 0 (a broadcast against rho), by the AGM.
 
     The mean is (2/pi)(a + rho) E(k), k^2 = 4 a rho / (a + rho)^2, the
     perimeter over 2 pi of the ellipse with semi-axes a + rho and |a - rho|.
@@ -225,15 +232,19 @@ def _circle_means(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     (Borwein & Borwein, *Pi and the AGM*, 1987, ch. 1).  The pass count is
     fixed, so each element's bits depend on its own inputs alone.  Ties
     a == rho (k = 1, where M(2a, 0) = 0) take the limit 2(a + rho)/pi.
+    Inside a walk the scratch, and so the returned array, is carved from
+    the thread's workspace (``opnorm._WORKSPACE``).
     """
+    shape = np.shape(rho)  # a broadcasts against rho
     # pass 0 in closed form: x_1 = max(a, rho), y_1 = sqrt((a + rho) |a - rho|),
     # and its term min(a, rho)^2 leaves max(a, rho)^2 of a^2 + rho^2
-    x = np.maximum(a, rho)
-    y = np.abs(a - rho)
-    y *= a + rho
+    x = np.maximum(a, rho, out=_WORKSPACE.array(shape))
+    y = np.subtract(a, rho, out=_WORKSPACE.array(shape))
+    np.abs(y, out=y)
+    d = np.add(a, rho, out=_WORKSPACE.array(shape))
+    y *= d
     np.sqrt(y, out=y)
-    total = x * x
-    d = np.empty_like(x)
+    total = np.multiply(x, x, out=_WORKSPACE.array(shape))
     w = 0.5
     for _ in range(_AGM_PASSES - 1):
         np.subtract(x, y, out=d)
@@ -282,7 +293,10 @@ def _quadrature(A: np.ndarray, q: int, budget: int = DEFAULT_EVAL_BUDGET):
     # product, since a complex quotient by top + 0j can round otherwise
     top = np.abs(A).max(axis=-1)
     top[top == 0.0] = 1.0
-    U = A * (1.0 / top)[:, None]
+    # 1 / top overflows at a subnormal top: such rows are scaled by 2^600
+    # first, exactly; the other rows are scaled by 1, which keeps their bits
+    s = np.where(top < 2.0 ** -900, 2.0 ** 600, 1.0)
+    U = (A * s[:, None]) * (1.0 / (top * s))[:, None]
     if n == 2:
         return top * _circle_means(np.abs(U[:, 0]), np.abs(U[:, 1])), np.zeros(len(A))
 
@@ -293,7 +307,8 @@ def _quadrature(A: np.ndarray, q: int, budget: int = DEFAULT_EVAL_BUDGET):
             low += 1
         grid = means.reshape((len(a),) + (q,) * low)
         even = grid[(slice(None),) + (slice(None, None, 2),) * low]
-        coarse = np.ascontiguousarray(even).reshape(len(a), -1).sum(axis=-1)
+        packed = np.positive(even, out=_WORKSPACE.array(even.shape))  # a contiguous copy
+        coarse = packed.reshape(len(a), -1).sum(axis=-1)
         return np.concatenate((means.sum(axis=-1)[:, None], coarse[:, None]), axis=1)
 
     blocks = _walk(U[:, -1:], U[:, None, 1:-1], q, _AGM_TABLE_CAP, level_sums,

@@ -19,7 +19,9 @@ Both enumerations, and the exact averages in ``litt43.khinchin``, run on
 one walk over Omega_M^(N-1) (``_walk``): the leading free coordinates
 are tabulated as one block of partial sums (one vectorized pass evaluates
 a whole block), and the remaining high digits run in mixed-radix order,
-each shifting the whole block by its offset.
+each shifting the whole block by its offset.  The walk builds its arrays
+in a growable workspace of each thread (``_WORKSPACE``), and a large walk
+hands its blocks out to the usable cores.
 """
 
 from __future__ import annotations
@@ -27,7 +29,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import mmap
 import operator
+import os
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +65,28 @@ _ROOT_TABLE_CAP = 1 << 17
 # at 2^16-2^20, 0.67 s with no bound), smaller ones fault more (fast suite
 # at 2^16: 53k minor faults against 3.4k).
 _STACK_ELEMENTS = 1 << 18
+
+# Runners of one walk: the usable cores.  A walk hands its high-digit blocks
+# to more than one runner only from _THREAD_ELEMENTS table elements per
+# block, and only with _THREAD_WORK table elements x blocks x unit in all.
+# Below the first the ufuncs are too short to leave the GIL to the other
+# runner (Steinhaus N = 5, Q = 64, blocks of 4,096 nodes: 18.5 ms serial,
+# 29-30 ms on two threads); below the second the hand-off does not pay for
+# the slower ops that follow it on a shared 2-core host (certify's
+# op_p50_ms read +32% with its complex 2x7 M = 8 walks, 2^19 units,
+# threaded and +12% without), while Steinhaus N = 6, Q = 36 (10^7 units)
+# went 72 -> 41 ms.  2-core Xeon VM, numpy 2.4.6.
+_THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else (
+    os.cpu_count() or 1)
+_THREAD_ELEMENTS = 1 << 14
+_THREAD_WORK = 1 << 22
+# Arrays of fewer elements are allocated per call: the workspace's
+# bookkeeping costs more than they do (4x24 real_sup_norm, 2-core Xeon:
+# 18 us against 40 us through the workspace), and glibc serves them from
+# its free lists.
+_POOLED_ELEMENTS = 1 << 12
+_POOL = None
+_POOL_LOCK = threading.Lock()
 
 # Coordinate phase ascent: sweep cap, relative gain that ends the sweeps,
 # and the final bracket width in radians.
@@ -114,6 +143,85 @@ def _roots(m: int) -> np.ndarray:
     return points
 
 
+_FLOAT64 = np.dtype(np.float64)
+# A private mapping: a forked child gets a copy on write, never the parent's pages.
+_PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
+
+
+class _Workspace(threading.local):
+    """One growable buffer of each thread, carved into the arrays of the walk that runs in it.
+
+    A walk that allocated its table-sized arrays afresh on each call took
+    its pages back from the kernel as minor faults whenever glibc had
+    trimmed the heap in between (112 faults per 12x12 ``real_sup_norm`` in
+    a loop); a buffer that stays mapped faults once.  A scope (``enter``
+    ... ``release``) carves its arrays in call order and hands them back
+    together at its end, so the buffer grows to the arrays of the largest
+    walk, not to the largest array of each kind.  The buffer is an
+    anonymous mapping, not a malloc block: an outgrown buffer is unmapped
+    once its arrays are gone (as a malloc block, glibc kept it in its heap,
+    and certify's peak_rss_mb read +9.5%), and every array starts on a
+    64-byte cache line (at malloc's 16-byte alignment the table steps of a
+    12x12 norm ran 24% slower; 2-core Xeon VM).
+    """
+
+    def __init__(self):
+        self.buffer = np.empty(0, np.uint8)
+        self.top = None  # bytes carved by the open scopes; None when none is open
+
+    def enter(self):
+        """Open a scope; returns the mark that ``release`` takes back to."""
+        mark = self.top
+        self.top = mark or 0
+        return mark
+
+    def release(self, mark):
+        """Hand back every array carved since ``mark``."""
+        self.top = mark
+
+    def array(self, shape: tuple, dtype: np.dtype = _FLOAT64):
+        """``out=`` for a ufunc: an uninitialized C-contiguous array carved from the buffer.
+
+        Outside a scope, and below _POOLED_ELEMENTS elements, it is None, so
+        the ufunc allocates afresh.  A carve past the end maps a larger
+        buffer; the arrays already carved keep the old one until they are gone.
+        """
+        start = self.top
+        if start is None:
+            return None
+        size = math.prod(shape)
+        if size < _POOLED_ELEMENTS:
+            return None
+        self.top = end = start + (size * dtype.itemsize + 63) // 64 * 64
+        if end > len(self.buffer):  # pages past the top stay unmapped until used
+            size = 1 << (end - 1).bit_length()
+            self.buffer = np.frombuffer(mmap.mmap(-1, size, **_PRIVATE), np.uint8)
+        return np.ndarray(shape, dtype, self.buffer, start)
+
+
+_WORKSPACE = _Workspace()
+
+
+def _runner_pool() -> ThreadPoolExecutor:
+    """The threads of runners 1, 2, ... of every walk, made by the first walk that needs one."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            _POOL = ThreadPoolExecutor(max(1, _THREADS - 1), thread_name_prefix="litt43-walk")
+        return _POOL
+
+
+def _forget_pool():
+    # a forked child inherits the executor but none of its threads: work
+    # handed to it would wait forever
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
 def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np.ndarray:
     """first + sum_j cols[..., j] * points[d_j] over every digit tuple, as (..., K, M^L).
 
@@ -124,12 +232,60 @@ def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np
     every step adds M contiguous copies of the table.  The table is always
     C-contiguous, even with no columns: numpy's reductions over it
     associate by layout, and a strided stack would sum in another order.
+    In a workspace scope, a table of _POOLED_ELEMENTS or more is carved
+    from it: the steps of that size alternate between the result and a
+    spare, which is handed back on return (only its first 1/M is ever
+    written, so the pages after that cost nothing until the next carve
+    reuses them).
     """
     table = np.ascontiguousarray(first)[..., None]
     contribs = cols[..., None] * points  # (..., K, L, M)
-    for j in range(cols.shape[-1]):
-        table = (contribs[..., j, :, None] + table[..., None, :]).reshape(first.shape + (-1,))
+    steps = cols.shape[-1]
+    size = table.size * len(points) ** steps
+    if size < _POOLED_ELEMENTS:  # allocated per call: no workspace bookkeeping
+        for j in range(steps):
+            table = (contribs[..., j, :, None] + table[..., None, :]).reshape(first.shape + (-1,))
+        return table
+    result = _WORKSPACE.array((size,), np.promote_types(contribs.dtype, table.dtype))
+    if result is not None:
+        mark = _WORKSPACE.top
+        spare = _WORKSPACE.array((size,), result.dtype)
+    for j in range(steps):
+        out = None
+        if result is not None and table.size * len(points) >= _POOLED_ELEMENTS:
+            # the last step writes the result
+            out = np.ndarray(first.shape + (len(points), table.shape[-1]), result.dtype,
+                             result if (steps - j) % 2 else spare)
+        table = np.add(contribs[..., j, :, None], table[..., None, :],
+                       out=out).reshape(first.shape + (-1,))
+    if result is not None:
+        _WORKSPACE.release(mark)
     return table
+
+
+def _run_blocks(table, offsets, claim, reduce, carry) -> list:
+    """(h, ``reduce`` of |table + offsets[..., h]|) for each block h that ``claim()`` hands out.
+
+    ``claim`` returns the next unclaimed block, or None when there is none.
+    The block, and a complex block's moduli (a real one holds its own),
+    are carved once from this thread's workspace; each reduction's scratch
+    is handed back before the next block.
+    """
+    mark = _WORKSPACE.enter()
+    try:
+        block = _WORKSPACE.array(table.shape, table.dtype)
+        if block is None:
+            block = np.empty_like(table)
+        mods = block if block.dtype == np.float64 else _WORKSPACE.array(table.shape)
+        scratch = _WORKSPACE.top
+        results = []
+        for h in iter(claim, None):
+            _WORKSPACE.release(scratch)
+            results.append((h, reduce(np.abs(np.add(table, offsets[..., h, None], out=block),
+                                             out=mods), *carry)))
+        return results
+    finally:
+        _WORKSPACE.release(mark)
 
 
 def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
@@ -152,9 +308,23 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
     ``reduce(mods, *carry)`` gets the slices of the members in ``mods``.
     Block h, column t holds pattern g = h * T + t, digits
     ``np.unravel_index(g, (M,) * L, order="F")`` (column 0 least
-    significant).  The high-digit blocks share one buffer, so ``reduce``
-    must not keep its argument.  Returns the list of reductions, in block
-    order.
+    significant).  Returns the list of reductions, in block order.
+
+    Runners: a walk of at least _THREAD_ELEMENTS table elements per block
+    and _THREAD_WORK units in all (table elements x blocks x ``unit``)
+    runs on min(_THREADS, blocks, _STACK_ELEMENTS // table words) runners
+    (a complex element is two words), the calling thread and threads of
+    ``_runner_pool``, so the extra runners' blocks stay within the stack
+    bound.  Each runner claims the next unclaimed block when it is done
+    with one, so a runner whose core is busy with other work leaves its
+    share to the others instead of holding up the walk.  Every
+    block is summed as in a serial walk and the reductions are joined in
+    block order, so the bits do not depend on the runners.  ``reduce``
+    runs in the runner's thread.  Workspace: the table, each runner's
+    block and moduli, and the reducers' scratch are carved from
+    ``_WORKSPACE`` (from _POOLED_ELEMENTS elements on), which each thread
+    reuses across blocks and calls; ``reduce`` must therefore not keep its
+    argument, nor return a view of the workspace.
     """
     points = _roots(m)
     low = cols.shape[-1]
@@ -170,39 +340,122 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
             parts.append(_walk(first[part], cols[part], m, table_cap, reduce,
                                *map(operator.itemgetter(part), carry), unit=unit))
         return [np.concatenate(blocks) for blocks in zip(*parts)]
-    table = _partial_sums(first, cols[..., :low], points)
+    if first.size * m ** low < _POOLED_ELEMENTS:  # nothing to carve
+        if low == cols.shape[-1]:  # one small table, as the stacks of the climber
+            return [reduce(np.abs(_partial_sums(first, cols, points)), *carry)]
+        return _walk_table(first, cols, points, low, reduce, carry, unit)
+    mark = _WORKSPACE.enter()
+    try:
+        return _walk_table(first, cols, points, low, reduce, carry, unit)
+    finally:
+        _WORKSPACE.release(mark)
+
+
+def _walk_table(first, cols, points, low: int, reduce, carry, unit: int) -> list:
+    """``_walk`` of one batch, tabulating the first ``low`` columns."""
     if low == cols.shape[-1]:
-        return [reduce(np.abs(table), *carry)]
+        table = _partial_sums(first, cols, points)
+        return [reduce(np.abs(table, out=_WORKSPACE.array(table.shape)), *carry)]
     offsets = _partial_sums(np.zeros(first.shape), cols[..., low:], points)
-    # one buffer for every block, so no block faults fresh pages in
-    block = np.empty_like(table)
-    mods = block if block.dtype == np.float64 else np.empty(block.shape)
-    return [reduce(np.abs(np.add(table, offsets[..., h, None], out=block), out=mods), *carry)
-            for h in range(offsets.shape[-1])]
+    table = _partial_sums(first, cols[..., :low], points)
+    blocks = offsets.shape[-1]
+    runners = 1
+    if table.size >= _THREAD_ELEMENTS and table.size * blocks * unit >= _THREAD_WORK:
+        runners = max(1, min(_THREADS, blocks, _STACK_ELEMENTS * 8 // table.nbytes))
+    blocks_left = iter(range(blocks))
+    if runners == 1:
+        claimed = _run_blocks(table, offsets, functools.partial(next, blocks_left, None),
+                              reduce, carry)
+        return [r for _, r in claimed]
+    lock = threading.Lock()
+
+    def claim():
+        with lock:
+            return next(blocks_left, None)
+
+    pool = _runner_pool()
+    futures = [pool.submit(_run_blocks, table, offsets, claim, reduce, carry)
+               for _ in range(runners - 1)]
+    try:
+        results = _run_blocks(table, offsets, claim, reduce, carry)
+    finally:
+        wait(futures)  # the other runners read this thread's table
+    for future in futures:
+        results += future.result()
+    return [r for _, r in sorted(results, key=operator.itemgetter(0))]
+
+
+def _row_sums(mods: np.ndarray) -> np.ndarray:
+    """mods.sum(axis=-2), carved from this thread's workspace if it is that large."""
+    if mods.size < _POOLED_ELEMENTS * mods.shape[-2]:
+        return np.add.reduce(mods, axis=-2)
+    return np.add.reduce(mods, axis=-2, out=_WORKSPACE.array(mods.shape[:-2] + mods.shape[-1:]))
 
 
 def _block_max(mods: np.ndarray) -> np.ndarray:
-    return mods.sum(axis=-2).max(axis=-1)
+    return np.maximum.reduce(_row_sums(mods), axis=-1)
 
 
 def _block_argmax(mods: np.ndarray):
-    sums = mods.sum(axis=-2)
+    sums = _row_sums(mods)
     t = np.argmax(sums, axis=-1)
     return np.take_along_axis(sums, t[..., None], axis=-1)[..., 0], t
 
 
-def _real_norms(E: np.ndarray, cap: int = REAL_ENUM_CAP) -> np.ndarray:
-    """Exact ||A|| for each real K x N matrix of the stack E (B, K, N)."""
+def _overflow_safe(walk, X: np.ndarray, terms: int) -> np.ndarray:
+    """walk(X) for a stack X whose members walk alone, at a power-of-two scale if needed.
+
+    The sum of |x|^2 over X bounds the largest modulus squared in one BLAS
+    call, which costs less than a pass of max(|x|) and does not warn when
+    it overflows.  Below 2^1000 / ``terms``, every modulus is below 2^500
+    and no sum of ``terms`` entries comes near the double range, so X is
+    walked as it is.  Otherwise (an overflowed or NaN sum included)
+    each member is walked at 2^-e, e the frexp exponent of its largest
+    modulus, and scaled back.  A power of two commutes exactly with the
+    walks' additions, moduli, maxima, fsum and divisions by powers of two,
+    away from subnormals, so no bit moves unless entries span about
+    2^1000; a result beyond the double range comes back inf.
+    """
+    if np.vdot(X, X).real < 2.0 ** 1000 / terms:
+        return walk(X)
+    e = np.frexp(np.abs(X).reshape(len(X), -1).max(axis=-1))[1]
+    values = walk(X * np.ldexp(1.0, -e).reshape((-1,) + (1,) * (X.ndim - 1)))
+    with np.errstate(over="ignore"):
+        return np.ldexp(values, e)
+
+
+def _finite(value: float, what: str) -> float:
+    """``value``, refused when it lies beyond the double range."""
+    if math.isinf(value):
+        raise ValueError(f"{what} is beyond the double range (above {sys.float_info.max!r})")
+    return value
+
+
+def _sign_norms(E: np.ndarray) -> np.ndarray:
+    """max over sign vectors y of sum_k |(e y)_k| per matrix of the stack E.
+
+    e is E, or its transpose when that has fewer columns: ||A|| = ||A^T||,
+    so the walk runs over the smaller side.  y[0] is pinned to +1: y and
+    -y give equal values.
+    """
     e = E if E.shape[-1] <= E.shape[-2] else np.swapaxes(E, -1, -2)
-    n = e.shape[-1]
-    if n > cap:
-        raise CapacityError(
-            f"sign enumeration needs 2^{n - 1} patterns but the cap is "
-            f"min(K, N) = {cap} (2^{cap - 1}); raise `cap` explicitly to proceed"
-        )
-    # y[0] pinned to +1 (y and -y give equal values)
     return functools.reduce(np.maximum, _walk(e[..., 0], e[..., 1:], 2, _SIGN_TABLE_CAP,
                                               _block_max))
+
+
+def _real_norms(E: np.ndarray, cap: int = REAL_ENUM_CAP) -> np.ndarray:
+    """Exact ||A|| for each real K x N matrix of the stack E (B, K, N).
+
+    Entries near the top of the double range are walked at a power-of-two
+    scale (``_overflow_safe``); a norm is inf only beyond the double range.
+    """
+    k, n = E.shape[-2:]
+    if min(k, n) > cap:
+        raise CapacityError(
+            f"sign enumeration needs 2^{min(k, n) - 1} patterns but the cap is "
+            f"min(K, N) = {cap} (2^{cap - 1}); raise `cap` explicitly to proceed"
+        )
+    return _overflow_safe(_sign_norms, E, k * n)
 
 
 def real_sup_norm(A: BilinearForm, cap: int = REAL_ENUM_CAP) -> float:
@@ -211,10 +464,11 @@ def real_sup_norm(A: BilinearForm, cap: int = REAL_ENUM_CAP) -> float:
     ||A|| = ||A^T||, so the walk runs over the smaller side (the columns
     when K = N).  Refuses (rather than approximates) when min(K, N) exceeds
     ``cap``; the stochastic lower bounds in ``litt43.search`` cover larger shapes.
+    A norm beyond the double range raises ValueError.
     """
     if A.is_complex:
         raise ValueError("real_sup_norm requires a real-tagged form")
-    return float(_real_norms(A.entries[None], cap)[0])
+    return _finite(float(_real_norms(A.entries[None], cap)[0]), "the norm")
 
 
 def _grid_walk(E: np.ndarray, m: int, budget: int, reduce) -> list:

@@ -262,6 +262,27 @@ class TestBadInput:
         assert "Traceback" not in err and err.startswith("invalid input:")
 
 
+    def test_norm_beyond_the_double_range_exits_four(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        save_form(litt43.BilinearForm("real", [[1e308, 1e308], [1e308, -1e308]]), path)
+        code, out, err = run(capsys, "norm", "--input", str(path))
+        assert code == 4 and out == ""
+        assert err.startswith("invalid input:") and "beyond the double range" in err
+
+
+class TestRangeEdges:
+    def test_huge_rademacher_coefficients(self, capsys):
+        code, out, _ = run(capsys, "khinchin", "--coeffs", "1e308,1e308")
+        assert code == 0 and json.loads(out)["value"] == 1e308
+
+    def test_subnormal_steinhaus_coefficients(self, capsys):
+        code, out, _ = run(capsys, "khinchin", "--coeffs", "1e-320,1e-320", "--model",
+                           "steinhaus", "--r", "2", "--Q", "8")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["value"] > 0.0 and doc["violation"] is False
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ("khinchin", "--coeffs", "1,1", "--model", "em", "--M", "2.5"),

@@ -455,6 +455,54 @@ class TestClosedForm:
                                                    abs=1e-13 * scaled.value)
 
 
+class TestRangeEdges:
+    """Inputs near the top and the bottom of the double range."""
+
+    def test_sign_averages_of_huge_entries(self):
+        # unscaled, the pattern sum 1e308 + 1e308 overflows
+        assert rademacher_average([1e308, 1e308]).value == 1e308
+        assert e_m_average([1e308, 1e308], 2).value == 1e308
+        # |1 + 1| + |1 + w| + |1 + w^2| = 4 over T_3
+        assert e_m_average([1e308, 1e308], 3).value == pytest.approx(4 / 3 * 1e308, rel=4 * EPS)
+
+    def test_average_beyond_the_double_range_is_refused(self):
+        # (4.5e308 + 3 * 1.5e308) / 4 patterns with the last sign pinned
+        with pytest.raises(ValueError, match="beyond the double range"):
+            rademacher_average([1.5e308] * 3)
+
+    def test_scaled_row_leaves_its_stack_neighbours_bits(self):
+        ordinary = np.random.default_rng(32).standard_normal((2, 7))
+        stack = np.concatenate([[[1e307] * 7], ordinary])  # 1e307 < 2^1020
+        means = khinchin._rademacher_means(stack)
+        small = khinchin._rademacher_means(np.ldexp(stack[:1], -1020))
+        assert means[0] == math.ldexp(small[0], 1020)
+        assert means[1:].tobytes() == khinchin._rademacher_means(ordinary).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_subnormal_steinhaus_rows(self, n):
+        # 1 / top overflowed at a subnormal top, and the rows became NaN
+        tiny = steinhaus_expectation([1e-320] * n, q=8)
+        unit = steinhaus_expectation([1.0] * n, q=8)
+        assert tiny.value == pytest.approx(1e-320 * unit.value, rel=2e-3)
+        assert math.isfinite(tiny.error_bound)
+
+    def test_subnormal_row_leaves_its_stack_neighbours_bits(self):
+        rng = np.random.default_rng(33)
+        ordinary = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+        values, bounds = khinchin._quadrature(np.concatenate([[[1e-320] * 4], ordinary]), 8)
+        alone = khinchin._quadrature(ordinary, 8)
+        assert values[1:].tobytes() == alone[0].tobytes()
+        assert bounds[1:].tobytes() == alone[1].tobytes()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_row_beside_a_huge_row(self):
+        # only the subnormal row is scaled by 2^600: 1e300 * 2^600 would overflow
+        stack = np.array([[1e-320] * 3, [1e300] * 3])
+        values, bounds = khinchin._quadrature(stack, 8)
+        assert values[1].tobytes() == khinchin._quadrature(stack[1:], 8)[0].tobytes()
+        assert np.isfinite(values).all() and np.isfinite(bounds).all()
+
+
 class TestQuadratureOracles:
     @pytest.mark.parametrize("n, q", [(3, 4), (3, 16), (4, 8), (4, 6), (5, 4)])
     def test_matches_node_by_node_sum(self, n, q):

@@ -138,6 +138,34 @@ class TestRealSupNorm:
         with pytest.raises(CapacityError, match=r"min\(K, N\) = 5"):
             real_sup_norm(form, cap=5)
 
+    def test_entries_near_the_top_of_the_double_range(self):
+        # unscaled, the signed sum 1e308 + 1e307 of the first column
+        # overflows no more, but 2e308 would; the walk scales by 2^-1024
+        form = BilinearForm("real", [[1e308, 1e307], [1e307, -1e307]])
+        small = BilinearForm("real", np.ldexp(form.entries, -1000))
+        assert real_sup_norm(form) == math.ldexp(real_sup_norm(small), 1000) == 1.1e308
+
+    def test_norm_beyond_the_double_range_is_refused(self):
+        form = BilinearForm("real", [[1e308, 1e308], [1e308, -1e308]])  # norm 4e308
+        with pytest.raises(ValueError, match="beyond the double range"):
+            real_sup_norm(form)
+
+    def test_scaled_member_leaves_its_stack_neighbours_bits(self):
+        rng = np.random.default_rng(31)
+        ordinary = rng.standard_normal((2, 5, 6))
+        stack = np.concatenate([np.full((1, 5, 6), 1e308), ordinary])
+        norms = opnorm._real_norms(stack)
+        assert np.isinf(norms[0])
+        assert norms[1:].tobytes() == opnorm._real_norms(ordinary).tobytes()
+
+    def test_nan_member_leaves_its_stack_neighbours_bits(self):
+        # a NaN makes the stack's overflow bound NaN, which takes the scaled path
+        ordinary = np.random.default_rng(34).standard_normal((2, 4, 4))
+        stack = np.concatenate([np.full((1, 4, 4), np.nan), ordinary])
+        norms = opnorm._real_norms(stack)
+        assert np.isnan(norms[0])
+        assert norms[1:].tobytes() == opnorm._real_norms(ordinary).tobytes()
+
     def test_wide_form_beyond_cap_is_exact(self):
         # 2^29 column patterns, but only 2 sign patterns of the two rows
         rng = np.random.default_rng(18)
