@@ -80,10 +80,10 @@ _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
     os.cpu_count() or 1)
 _THREAD_ELEMENTS = 1 << 14
 _THREAD_WORK = 1 << 22
-# Arrays of fewer elements are allocated per call: the workspace's
-# bookkeeping costs more than they do (4x24 real_sup_norm, 2-core Xeon:
-# 18 us against 40 us through the workspace), and glibc serves them from
-# its free lists.
+# A walk of fewer table elements allocates its arrays per call: the
+# workspace's bookkeeping costs more than they do (4x24 real_sup_norm,
+# 2-core Xeon: 18 us against 40 us through the workspace), and glibc
+# serves them from its free lists.
 _POOLED_ELEMENTS = 1 << 12
 _POOL = None
 _POOL_LOCK = threading.Lock()
@@ -182,16 +182,16 @@ class _Workspace(threading.local):
     def array(self, shape: tuple, dtype: np.dtype = _FLOAT64):
         """``out=`` for a ufunc: an uninitialized C-contiguous array carved from the buffer.
 
-        Outside a scope, and below _POOLED_ELEMENTS elements, it is None, so
-        the ufunc allocates afresh.  A carve past the end maps a larger
-        buffer; the arrays already carved keep the old one until they are gone.
+        Outside a scope it is None, so the ufunc allocates afresh: a walk of
+        _POOLED_ELEMENTS table elements or more opens a scope and carves
+        every array it builds, and a smaller walk allocates every array.  A
+        carve past the end maps a larger buffer; the arrays already carved
+        keep the old one until they are gone.
         """
         start = self.top
         if start is None:
             return None
         size = math.prod(shape)
-        if size < _POOLED_ELEMENTS:
-            return None
         self.top = end = start + (size * dtype.itemsize + 63) // 64 * 64
         if end > len(self.buffer):  # pages past the top stay unmapped until used
             size = 1 << (end - 1).bit_length()
@@ -232,60 +232,60 @@ def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np
     every step adds M contiguous copies of the table.  The table is always
     C-contiguous, even with no columns: numpy's reductions over it
     associate by layout, and a strided stack would sum in another order.
-    In a workspace scope, a table of _POOLED_ELEMENTS or more is carved
-    from it: the steps of that size alternate between the result and a
-    spare, which is handed back on return (only its first 1/M is ever
-    written, so the pages after that cost nothing until the next carve
-    reuses them).
+    In a workspace scope (a walk of _POOLED_ELEMENTS table elements or
+    more) the table is carved from it: the steps alternate between the
+    result and a spare, which is handed back on return (only its first 1/M
+    is ever written, so the pages after that cost nothing until the next
+    carve reuses them).  Outside one (a smaller walk) each step allocates.
     """
     table = np.ascontiguousarray(first)[..., None]
     contribs = cols[..., None] * points  # (..., K, L, M)
     steps = cols.shape[-1]
     size = table.size * len(points) ** steps
-    if size < _POOLED_ELEMENTS:  # allocated per call: no workspace bookkeeping
-        for j in range(steps):
-            table = (contribs[..., j, :, None] + table[..., None, :]).reshape(first.shape + (-1,))
-        return table
-    result = _WORKSPACE.array((size,), np.promote_types(contribs.dtype, table.dtype))
-    if result is not None:
-        mark = _WORKSPACE.top
-        spare = _WORKSPACE.array((size,), result.dtype)
+    dtype = np.promote_types(contribs.dtype, table.dtype)
+    result = _WORKSPACE.array((size,), dtype)
+    mark = _WORKSPACE.top
+    spare = _WORKSPACE.array((size,), dtype)
     for j in range(steps):
         out = None
-        if result is not None and table.size * len(points) >= _POOLED_ELEMENTS:
-            # the last step writes the result
-            out = np.ndarray(first.shape + (len(points), table.shape[-1]), result.dtype,
+        if result is not None:  # the last step writes the result
+            out = np.ndarray(first.shape + (len(points), table.shape[-1]), dtype,
                              result if (steps - j) % 2 else spare)
         table = np.add(contribs[..., j, :, None], table[..., None, :],
                        out=out).reshape(first.shape + (-1,))
-    if result is not None:
-        _WORKSPACE.release(mark)
+    _WORKSPACE.release(mark)
     return table
+
+
+def _carving(fn, *args):
+    """fn(*args) in a workspace scope of this thread: its arrays are carved, then handed back."""
+    mark = _WORKSPACE.enter()
+    try:
+        return fn(*args)
+    finally:
+        _WORKSPACE.release(mark)
 
 
 def _run_blocks(table, offsets, claim, reduce, carry) -> list:
     """(h, ``reduce`` of |table + offsets[..., h]|) for each block h that ``claim()`` hands out.
 
     ``claim`` returns the next unclaimed block, or None when there is none.
-    The block, and a complex block's moduli (a real one holds its own),
-    are carved once from this thread's workspace; each reduction's scratch
-    is handed back before the next block.
+    In a workspace scope (a walk of _POOLED_ELEMENTS table elements or
+    more) the block, and a complex block's moduli (a real one holds its
+    own), are carved once, and each reduction's scratch is handed back
+    before the next block; outside one (a smaller walk) they are allocated.
     """
-    mark = _WORKSPACE.enter()
-    try:
-        block = _WORKSPACE.array(table.shape, table.dtype)
-        if block is None:
-            block = np.empty_like(table)
-        mods = block if block.dtype == np.float64 else _WORKSPACE.array(table.shape)
-        scratch = _WORKSPACE.top
-        results = []
-        for h in iter(claim, None):
-            _WORKSPACE.release(scratch)
-            results.append((h, reduce(np.abs(np.add(table, offsets[..., h, None], out=block),
-                                             out=mods), *carry)))
-        return results
-    finally:
-        _WORKSPACE.release(mark)
+    block = _WORKSPACE.array(table.shape, table.dtype)
+    if block is None:
+        block = np.empty_like(table)
+    mods = block if block.dtype == np.float64 else _WORKSPACE.array(table.shape)
+    scratch = _WORKSPACE.top
+    results = []
+    for h in iter(claim, None):
+        _WORKSPACE.release(scratch)
+        results.append((h, reduce(np.abs(np.add(table, offsets[..., h, None], out=block),
+                                         out=mods), *carry)))
+    return results
 
 
 def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
@@ -320,11 +320,12 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
     share to the others instead of holding up the walk.  Every
     block is summed as in a serial walk and the reductions are joined in
     block order, so the bits do not depend on the runners.  ``reduce``
-    runs in the runner's thread.  Workspace: the table, each runner's
-    block and moduli, and the reducers' scratch are carved from
-    ``_WORKSPACE`` (from _POOLED_ELEMENTS elements on), which each thread
-    reuses across blocks and calls; ``reduce`` must therefore not keep its
-    argument, nor return a view of the workspace.
+    runs in the runner's thread.  Workspace: a walk (or part) of
+    _POOLED_ELEMENTS table elements or more, B x K x T, carves every array
+    it builds, in every runner, from that thread's ``_WORKSPACE``, which
+    each thread reuses across blocks and calls; ``reduce`` must therefore
+    not keep its argument, nor return a view of the workspace.  A smaller
+    walk allocates every array.
     """
     points = _roots(m)
     low = cols.shape[-1]
@@ -340,15 +341,9 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
             parts.append(_walk(first[part], cols[part], m, table_cap, reduce,
                                *map(operator.itemgetter(part), carry), unit=unit))
         return [np.concatenate(blocks) for blocks in zip(*parts)]
-    if first.size * m ** low < _POOLED_ELEMENTS:  # nothing to carve
-        if low == cols.shape[-1]:  # one small table, as the stacks of the climber
-            return [reduce(np.abs(_partial_sums(first, cols, points)), *carry)]
+    if first.size * m ** low < _POOLED_ELEMENTS:
         return _walk_table(first, cols, points, low, reduce, carry, unit)
-    mark = _WORKSPACE.enter()
-    try:
-        return _walk_table(first, cols, points, low, reduce, carry, unit)
-    finally:
-        _WORKSPACE.release(mark)
+    return _carving(_walk_table, first, cols, points, low, reduce, carry, unit)
 
 
 def _walk_table(first, cols, points, low: int, reduce, carry, unit: int) -> list:
@@ -374,7 +369,9 @@ def _walk_table(first, cols, points, low: int, reduce, carry, unit: int) -> list
             return next(blocks_left, None)
 
     pool = _runner_pool()
-    futures = [pool.submit(_run_blocks, table, offsets, claim, reduce, carry)
+    # a runner carves exactly when its walk does
+    run = (_run_blocks,) if _WORKSPACE.top is None else (_carving, _run_blocks)
+    futures = [pool.submit(*run, table, offsets, claim, reduce, carry)
                for _ in range(runners - 1)]
     try:
         results = _run_blocks(table, offsets, claim, reduce, carry)
@@ -386,9 +383,7 @@ def _walk_table(first, cols, points, low: int, reduce, carry, unit: int) -> list
 
 
 def _row_sums(mods: np.ndarray) -> np.ndarray:
-    """mods.sum(axis=-2), carved from this thread's workspace if it is that large."""
-    if mods.size < _POOLED_ELEMENTS * mods.shape[-2]:
-        return np.add.reduce(mods, axis=-2)
+    """mods.sum(axis=-2), carved from this thread's workspace in a carving walk."""
     return np.add.reduce(mods, axis=-2, out=_WORKSPACE.array(mods.shape[:-2] + mods.shape[-1:]))
 
 
@@ -496,8 +491,12 @@ def complex_norm_discrete(A: BilinearForm, m: int,
     The first coordinate is pinned to 1 (global phase invariance), so the
     enumeration costs M^(N-1) objective evaluations, which is what the
     budget counts.  Real-tagged forms are accepted and treated as complex.
+    The form is walked at ``_overflow_safe``'s scale; a norm beyond the
+    double range raises ValueError.
     """
-    return float(_grid_norms(A.entries[None], m, budget)[0])
+    norms = _overflow_safe(functools.partial(_grid_norms, m=m, budget=budget),
+                           A.entries[None], A.rows * A.cols)
+    return _finite(float(norms[0]), "the norm")
 
 
 def r_m(m) -> float:
@@ -565,23 +564,30 @@ def complex_norm_bounds(A: BilinearForm, m: int, refine: bool = False,
     it can only raise the lower endpoint through feasible evaluations, so
     the interval stays valid.  The upper endpoint always uses the
     unrefined grid norm, whose R_M guarantee is what certification needs.
+    The form is walked and refined at ``_overflow_safe``'s scale; an upper
+    endpoint beyond the double range raises ValueError.
     """
     m = _as_integer(m, "M", 3)
     factor = r_m(m)
-    blocks = [(float(v[0]), int(t[0]))
-              for v, t in _grid_walk(A.entries[None], m, budget, _block_argmax)]
-    h = max(range(len(blocks)), key=lambda i: blocks[i][0])  # first maximal block
-    discrete, t = blocks[h]
-    lower = discrete
-    if refine and discrete > 0.0:
-        free = A.cols - 1
-        digits = np.unravel_index(h * (m ** free // len(blocks)) + t, (m,) * free,
-                                  order="F")
-        y = np.concatenate(([1.0 + 0.0j], _roots(m)[list(digits)]))
-        # C order: products with an F-ordered form sum in another order
-        lower = max(lower, _coordinate_phase_ascent(
-            np.ascontiguousarray(A.entries, dtype=np.complex128), y))
-    upper = discrete / factor
+
+    def ends(E):
+        """[[discrete, lower]] of the one form of the stack E."""
+        blocks = [(float(v[0]), int(t[0])) for v, t in _grid_walk(E, m, budget, _block_argmax)]
+        h = max(range(len(blocks)), key=lambda i: blocks[i][0])  # first maximal block
+        discrete, t = blocks[h]
+        lower = discrete
+        if refine and discrete > 0.0:
+            free = A.cols - 1
+            digits = np.unravel_index(h * (m ** free // len(blocks)) + t, (m,) * free,
+                                      order="F")
+            y = np.concatenate(([1.0 + 0.0j], _roots(m)[list(digits)]))
+            # C order: products with an F-ordered form sum in another order
+            lower = max(lower, _coordinate_phase_ascent(
+                np.ascontiguousarray(E[0], dtype=np.complex128), y))
+        return np.array([[discrete, lower]])
+
+    discrete, lower = map(float, _overflow_safe(ends, A.entries[None], A.rows * A.cols)[0])
+    upper = _finite(discrete / factor, "the upper bound")
     # feasible ascent cannot mathematically exceed ||A|| <= upper; guard
     # against rounding at the scale of the last digit only
     lower = min(lower, upper)

@@ -8,8 +8,9 @@ pure function of (suite, seed) and serializes to identical bytes on
 every run.
 
 Ceilings can be scaled per check through ``overrides`` (fault injection
-for testing the harness itself): a scale below 1 tightens the ceiling
-and should make the corresponding check fail by name.
+for testing the harness itself): each scale must be finite and > 0, and
+a scale below 1 tightens the ceiling and should make the corresponding
+check fail by name.
 """
 
 from __future__ import annotations
@@ -462,6 +463,12 @@ def run_suite(suite: str = "fast", seed: int = 1,
     unknown = set(overrides) - set(_CHECKS)
     if unknown:
         raise ValueError(f"ceiling overrides for unknown checks: {sorted(unknown)}")
+    # a NaN, infinite or non-positive ceiling makes a check's margin meaningless
+    bad = sorted(name for name, scale in overrides.items()
+                 if not (math.isfinite(scale) and scale > 0.0))
+    if bad:
+        raise ValueError("ceiling scales must be finite and > 0: " + ", ".join(
+            f"{name}={overrides[name]!r}" for name in bad))
     results = []
     for name, fn in _CHECKS.items():
         if only is not None and name not in only:

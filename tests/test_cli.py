@@ -269,6 +269,14 @@ class TestBadInput:
         assert code == 4 and out == ""
         assert err.startswith("invalid input:") and "beyond the double range" in err
 
+    def test_complex_norm_beyond_the_double_range_exits_four(self, capsys, tmp_path):
+        # walked unscaled, the grid sums overflowed and the bounds came out inconsistent
+        path = tmp_path / "huge.json"
+        save_form(litt43.BilinearForm("complex", [[1e308, 1e308], [1e308, -1e308]]), path)
+        code, out, err = run(capsys, "norm", "--input", str(path), "--M", "8")
+        assert code == 4 and out == ""
+        assert err.startswith("invalid input:") and "beyond the double range" in err
+
 
 class TestRangeEdges:
     def test_huge_rademacher_coefficients(self, capsys):
@@ -377,6 +385,13 @@ class TestVerifyCommand:
         code, _, _ = run(capsys, "verify", "--suite", "fast",
                          "--override", "khinchin_sharpness=abc")
         assert code == 4
+
+    @pytest.mark.parametrize("scale", ["nan", "inf", "0", "-1"])
+    def test_meaningless_override_scale_exits_four(self, capsys, scale):
+        code, out, err = run(capsys, "verify", "--suite", "fast",
+                             "--override", f"khinchin_sharpness={scale}")
+        assert code == 4 and out == ""
+        assert err.startswith("invalid input:") and "khinchin_sharpness" in err
 
 
 def test_python_dash_m_runs_the_cli():

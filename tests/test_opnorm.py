@@ -504,6 +504,37 @@ class TestComplexNormBounds:
         assert b2.lower == pytest.approx(2.5 * b1.lower, rel=1e-12)
         assert b2.upper == pytest.approx(2.5 * b1.upper, rel=1e-12)
 
+    @pytest.mark.parametrize("m", [3, 8, 16])
+    @pytest.mark.parametrize("k", [600, -600])
+    def test_power_of_two_scaling_is_bit_exact(self, m, k):
+        # at 2^600 the walk scales the form back down; at 2^-600 it runs unscaled
+        form = random_form("complex", 3, 5, seed=4)
+        scaled = BilinearForm("complex", form.entries * 2.0 ** k)
+        assert complex_norm_discrete(scaled, m) == math.ldexp(complex_norm_discrete(form, m), k)
+        plain, big = complex_norm_bounds(form, m), complex_norm_bounds(scaled, m)
+        for end in ("lower", "upper", "discrete_norm"):
+            assert getattr(big, end) == math.ldexp(getattr(plain, end), k)
+
+    def test_single_row_refinement_at_the_top_of_the_double_range(self):
+        # unscaled, the closed-form phase of a single row multiplied moduli
+        # near 2^600 and overflowed; largest modulus in [1/2, 1): the walk
+        # scales the 2^600 form back to this one exactly
+        entries = random_form("complex", 1, 4, seed=7).entries
+        entries = 0.75 * entries / np.abs(entries).max()
+        plain = complex_norm_bounds(BilinearForm("complex", entries), 8, refine=True)
+        big = complex_norm_bounds(BilinearForm("complex", entries * 2.0 ** 600), 8,
+                                  refine=True)
+        assert plain.lower > plain.discrete_norm
+        assert big.lower == math.ldexp(plain.lower, 600)
+        assert big.upper == math.ldexp(plain.upper, 600)
+
+    def test_bounds_beyond_the_double_range_are_refused(self):
+        form = BilinearForm("complex", [[1e308, 1e308], [1e308, -1e308]])
+        with pytest.raises(ValueError, match="beyond the double range"):
+            complex_norm_bounds(form, 8)
+        with pytest.raises(ValueError, match="beyond the double range"):
+            complex_norm_discrete(form, 8)
+
 
 def golden_section_ascent(entries, y):
     """The phase ascent with a scalar golden-section line search; the test oracle.

@@ -112,6 +112,54 @@ def test_a_held_up_runner_leaves_its_blocks_to_the_others(small_blocks):
     assert len(claimed[0][1]) > 1 and claimed[1][1] == []
 
 
+@pytest.mark.parametrize("blocks", ["default", "small"])
+def test_carving_leaves_every_reduction_bit_equal(monkeypatch, request, blocks):
+    # _POOLED_ELEMENTS = 1: every walk carves its arrays; 2^62: none does
+    if blocks == "small":
+        request.getfixturevalue("small_blocks")
+        monkeypatch.setattr(opnorm, "_THREADS", 2)
+    monkeypatch.setattr(opnorm, "_POOLED_ELEMENTS", 1)
+    carved = _reductions()
+    monkeypatch.setattr(opnorm, "_POOLED_ELEMENTS", 2 ** 62)
+    assert _reductions() == carved
+
+
+def test_walks_below_the_threshold_carve_nothing(small_blocks):
+    # a fresh caller and a fresh pool thread: their buffers stay empty
+    # through threaded multi-block walks of fewer than _POOLED_ELEMENTS
+    # table elements, and no walk, not even a failing one, leaves a scope open
+    small_blocks.setattr(opnorm, "_THREADS", 2)
+    pool = ThreadPoolExecutor(1)
+    small_blocks.setattr(opnorm, "_runner_pool", lambda: pool)
+    names = _runner_threads(small_blocks)
+
+    def state():
+        return len(opnorm._WORKSPACE.buffer), opnorm._WORKSPACE.top
+
+    def fail(mods):
+        raise ArithmeticError("reduce failed")
+
+    def walks():
+        real = np.random.default_rng(23).standard_normal((3, 5, 7))  # 3 x 7 x 2^2 per block
+        opnorm._real_norms(real)
+        small = [state(), pool.submit(state).result(timeout=60)]
+        large = np.random.default_rng(24).standard_normal((1024, 4))  # 1024 x 2^2 per block
+        for rows in (real[0], large):
+            with pytest.raises(ArithmeticError):
+                opnorm._walk(rows[:, 0], rows[:, 1:], 2, opnorm._SIGN_TABLE_CAP, fail)
+            assert opnorm._WORKSPACE.top is None
+        return small
+
+    caller = ThreadPoolExecutor(1)
+    try:
+        assert caller.submit(walks).result(timeout=60) == [(0, None), (0, None)]
+        assert pool.submit(state).result(timeout=60)[1] is None
+    finally:
+        caller.shutdown()
+        pool.shutdown()
+    assert len(set(names)) == 2
+
+
 def test_concurrent_callers_keep_their_own_workspaces(monkeypatch):
     # three caller threads walk tables carved from their workspaces at
     # once, two of them with the pool's help; a shared workspace would mix them
