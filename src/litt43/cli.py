@@ -13,7 +13,8 @@ Subcommands:
 * ``verify``     - run the self-verification suites, emit a JSON report
 
 Exit codes: 0 success; 1 a verification check failed; 2 inadmissible
-exponents; 3 unwritable output path; 4 unparseable input.
+exponents; 3 unwritable output path or missing input file (``norm
+--input``); 4 unparseable input.
 
 Exponents accept integers, decimals, fractions ("4/3") and "inf".
 Numeric output is serialized with 17 significant digits; well-known

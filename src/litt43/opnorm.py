@@ -34,7 +34,7 @@ import operator
 import os
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -85,8 +85,6 @@ _THREAD_WORK = 1 << 22
 # 2-core Xeon: 18 us against 40 us through the workspace), and glibc
 # serves them from its free lists.
 _POOLED_ELEMENTS = 1 << 12
-_POOL = None
-_POOL_LOCK = threading.Lock()
 
 # Coordinate phase ascent: sweep cap, relative gain that ends the sweeps,
 # and the final bracket width in radians.
@@ -168,6 +166,7 @@ class _Workspace(threading.local):
     def __init__(self):
         self.buffer = np.empty(0, np.uint8)
         self.top = None  # bytes carved by the open scopes; None when none is open
+        self.runners = []  # the buffers of runners 1, 2, ... of this thread's walks
 
     def enter(self):
         """Open a scope; returns the mark that ``release`` takes back to."""
@@ -200,26 +199,6 @@ class _Workspace(threading.local):
 
 
 _WORKSPACE = _Workspace()
-
-
-def _runner_pool() -> ThreadPoolExecutor:
-    """The threads of runners 1, 2, ... of every walk, made by the first walk that needs one."""
-    global _POOL
-    with _POOL_LOCK:
-        if _POOL is None:
-            _POOL = ThreadPoolExecutor(max(1, _THREADS - 1), thread_name_prefix="litt43-walk")
-        return _POOL
-
-
-def _forget_pool():
-    # a forked child inherits the executor but none of its threads: work
-    # handed to it would wait forever
-    global _POOL, _POOL_LOCK
-    _POOL, _POOL_LOCK = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -257,35 +236,25 @@ def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np
     return table
 
 
-def _carving(fn, *args):
-    """fn(*args) in a workspace scope of this thread: its arrays are carved, then handed back."""
-    mark = _WORKSPACE.enter()
-    try:
-        return fn(*args)
-    finally:
-        _WORKSPACE.release(mark)
+def _run_blocks(table, offsets, claim, reduce, carry, results):
+    """Set results[h] to ``reduce`` of |table + offsets[..., h]| for each block h claimed.
 
-
-def _run_blocks(table, offsets, claim, reduce, carry) -> list:
-    """(h, ``reduce`` of |table + offsets[..., h]|) for each block h that ``claim()`` hands out.
-
-    ``claim`` returns the next unclaimed block, or None when there is none.
-    In a workspace scope (a walk of _POOLED_ELEMENTS table elements or
-    more) the block, and a complex block's moduli (a real one holds its
-    own), are carved once, and each reduction's scratch is handed back
-    before the next block; outside one (a smaller walk) they are allocated.
+    ``claim()`` returns the next unclaimed block, or None when there is
+    none; ``results`` has one slot per block.  In a workspace scope (a
+    walk of _POOLED_ELEMENTS table elements or more) the block, and a
+    complex block's moduli (a real one holds its own), are carved once, and
+    each reduction's scratch is handed back before the next block; outside
+    one (a smaller walk) they are allocated.
     """
     block = _WORKSPACE.array(table.shape, table.dtype)
     if block is None:
         block = np.empty_like(table)
     mods = block if block.dtype == np.float64 else _WORKSPACE.array(table.shape)
     scratch = _WORKSPACE.top
-    results = []
     for h in iter(claim, None):
         _WORKSPACE.release(scratch)
-        results.append((h, reduce(np.abs(np.add(table, offsets[..., h, None], out=block),
-                                         out=mods), *carry)))
-    return results
+        results[h] = reduce(np.abs(np.add(table, offsets[..., h, None], out=block), out=mods),
+                            *carry)
 
 
 def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
@@ -313,19 +282,20 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
     Runners: a walk of at least _THREAD_ELEMENTS table elements per block
     and _THREAD_WORK units in all (table elements x blocks x ``unit``)
     runs on min(_THREADS, blocks, _STACK_ELEMENTS // table words) runners
-    (a complex element is two words), the calling thread and threads of
-    ``_runner_pool``, so the extra runners' blocks stay within the stack
-    bound.  Each runner claims the next unclaimed block when it is done
-    with one, so a runner whose core is busy with other work leaves its
-    share to the others instead of holding up the walk.  Every
-    block is summed as in a serial walk and the reductions are joined in
-    block order, so the bits do not depend on the runners.  ``reduce``
-    runs in the runner's thread.  Workspace: a walk (or part) of
-    _POOLED_ELEMENTS table elements or more, B x K x T, carves every array
-    it builds, in every runner, from that thread's ``_WORKSPACE``, which
-    each thread reuses across blocks and calls; ``reduce`` must therefore
-    not keep its argument, nor return a view of the workspace.  A smaller
-    walk allocates every array.
+    (a complex element is two words), the calling thread and threads the
+    walk starts and joins, so the extra runners' blocks stay within the
+    stack bound.  Each runner claims the next unclaimed block when it is
+    done with one, so a runner whose core is busy with other work leaves
+    its share to the others instead of holding up the walk.  Every block
+    is summed as in a serial walk and its reduction lands in its own slot,
+    so the bits do not depend on the runners.  ``reduce`` runs in the
+    runner's thread; its exception reaches the caller once every runner
+    is joined.  Workspace: a walk (or part) of _POOLED_ELEMENTS table
+    elements or more, B x K x T, carves every array it builds from the
+    calling thread's ``_WORKSPACE``, runner k from the buffer that thread
+    keeps for it (``_WORKSPACE.runners``), so each buffer is reused across
+    blocks and calls; ``reduce`` must therefore not keep its argument, nor
+    return a view of the workspace.  A smaller walk allocates every array.
     """
     points = _roots(m)
     low = cols.shape[-1]
@@ -343,7 +313,11 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
         return [np.concatenate(blocks) for blocks in zip(*parts)]
     if first.size * m ** low < _POOLED_ELEMENTS:
         return _walk_table(first, cols, points, low, reduce, carry, unit)
-    return _carving(_walk_table, first, cols, points, low, reduce, carry, unit)
+    mark = _WORKSPACE.enter()
+    try:
+        return _walk_table(first, cols, points, low, reduce, carry, unit)
+    finally:
+        _WORKSPACE.release(mark)
 
 
 def _walk_table(first, cols, points, low: int, reduce, carry, unit: int) -> list:
@@ -358,28 +332,36 @@ def _walk_table(first, cols, points, low: int, reduce, carry, unit: int) -> list
     if table.size >= _THREAD_ELEMENTS and table.size * blocks * unit >= _THREAD_WORK:
         runners = max(1, min(_THREADS, blocks, _STACK_ELEMENTS * 8 // table.nbytes))
     blocks_left = iter(range(blocks))
+    results = [None] * blocks
     if runners == 1:
-        claimed = _run_blocks(table, offsets, functools.partial(next, blocks_left, None),
-                              reduce, carry)
-        return [r for _, r in claimed]
+        _run_blocks(table, offsets, functools.partial(next, blocks_left, None), reduce, carry,
+                    results)
+        return results
     lock = threading.Lock()
 
     def claim():
         with lock:
             return next(blocks_left, None)
 
-    pool = _runner_pool()
-    # a runner carves exactly when its walk does
-    run = (_run_blocks,) if _WORKSPACE.top is None else (_carving, _run_blocks)
-    futures = [pool.submit(*run, table, offsets, claim, reduce, carry)
-               for _ in range(runners - 1)]
-    try:
-        results = _run_blocks(table, offsets, claim, reduce, carry)
-    finally:
-        wait(futures)  # the other runners read this thread's table
+    buffers = _WORKSPACE.runners
+    buffers += [np.empty(0, np.uint8)] * (runners - 1 - len(buffers))
+    top = None if _WORKSPACE.top is None else 0
+
+    def run(k):
+        # runner k carves from the caller's buffer k exactly when its walk does
+        _WORKSPACE.buffer, _WORKSPACE.top = buffers[k], top
+        try:
+            _run_blocks(table, offsets, claim, reduce, carry, results)
+        finally:
+            buffers[k] = _WORKSPACE.buffer
+
+    # leaving the block joins the runners, which read this thread's table
+    with ThreadPoolExecutor(runners - 1, thread_name_prefix="litt43-walk") as pool:
+        futures = [pool.submit(run, k) for k in range(runners - 1)]
+        _run_blocks(table, offsets, claim, reduce, carry, results)
     for future in futures:
-        results += future.result()
-    return [r for _, r in sorted(results, key=operator.itemgetter(0))]
+        future.result()
+    return results
 
 
 def _row_sums(mods: np.ndarray) -> np.ndarray:
@@ -535,9 +517,8 @@ def _coordinate_phase_ascent(entries: np.ndarray, y: np.ndarray) -> float:
                 # single row: |c + a e^(i t)| peaks where the two terms align
                 if abs(aj[0]) == 0.0:
                     continue
-                theta = math.atan2((c[0] * np.conj(aj[0])).imag,
-                                   (c[0] * np.conj(aj[0])).real)
-                theta = theta % (2.0 * math.pi)
+                # (the angle of c * conj(a) as a difference: the product underflows near 2^-1200)
+                theta = (cmath.phase(c[0]) - cmath.phase(aj[0])) % (2.0 * math.pi)
             else:
                 lo, c1 = 0.0, c[:, None]
                 for d, table in _ZOOM:
@@ -551,7 +532,7 @@ def _coordinate_phase_ascent(entries: np.ndarray, y: np.ndarray) -> float:
                 y[j] = yj
                 s = c + aj * yj
                 value = candidate
-        if value - previous <= _ASCENT_REL_TOL * max(value, 1.0):
+        if value - previous <= _ASCENT_REL_TOL * value:
             break
     return value
 

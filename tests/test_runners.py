@@ -1,10 +1,11 @@
 """The walk's runners and per-thread workspaces (``opnorm._walk``).
 
 The tests set the usable cores to 2 (``opnorm._THREADS``), so a large
-walk shares its blocks with the pool even on one core, and most of
-them lower the thresholds of ``opnorm._walk`` (and the reductions test
-the table caps) so that small inputs reach the pool.  Threaded and serial walks must agree bit
-for bit, whatever else runs in the process.
+walk shares its blocks with a thread it starts and joins even on one
+core, and most of them lower the thresholds of ``opnorm._walk`` (and the
+reductions test the table caps) so that small inputs reach that thread.
+Threaded and serial walks must agree bit for bit, whatever else runs in
+the process, and no walk thread outlives its walk.
 """
 
 import multiprocessing
@@ -81,35 +82,40 @@ def test_serial_walks_stay_in_the_calling_thread(small_blocks):
 
 
 def test_a_held_up_runner_leaves_its_blocks_to_the_others(small_blocks):
-    # the pool's one thread is busy until the calling thread has run every
-    # block; the walk then only waits for it, and its bits do not move
+    # runner 1 is held until the calling thread has run every block; the
+    # walk then only waits for it, and its bits do not move
     real = np.random.default_rng(22).standard_normal((3, 5, 7))
     small_blocks.setattr(opnorm, "_THREADS", 1)
     serial = opnorm._real_norms(real).tobytes()
     small_blocks.setattr(opnorm, "_THREADS", 2)
-    pool = ThreadPoolExecutor(1)
+    caller = threading.current_thread().name
     done = threading.Event()
-    pool.submit(done.wait, 60)
-    small_blocks.setattr(opnorm, "_runner_pool", lambda: pool)
     claimed = []
     run_blocks = opnorm._run_blocks
 
-    def spy(*args):
-        results = run_blocks(*args)
-        claimed.append((threading.current_thread().name, [h for h, _ in results]))
-        if len(claimed) == 1:
-            done.set()  # the calling thread is through; let the pool thread start
-        return results
+    def spy(table, offsets, claim, *rest):
+        name = threading.current_thread().name
+        if name != caller:
+            assert done.wait(60)
+        got = []
+
+        def record():
+            h = claim()
+            if h is not None:
+                got.append(h)
+            return h
+
+        run_blocks(table, offsets, record, *rest)
+        claimed.append((name, got))
+        if name == caller:
+            done.set()  # the calling thread is through; let runner 1 start
 
     small_blocks.setattr(opnorm, "_run_blocks", spy)
-    try:
-        threaded = opnorm._real_norms(real).tobytes()
-    finally:
-        done.set()
-        pool.shutdown()
+    threaded = opnorm._real_norms(real).tobytes()
     assert threaded == serial
-    assert claimed[0] == (threading.current_thread().name, list(range(len(claimed[0][1]))))
-    assert len(claimed[0][1]) > 1 and claimed[1][1] == []
+    assert claimed[0] == (caller, list(range(len(claimed[0][1]))))
+    assert len(claimed) == 2 and len(claimed[0][1]) > 1 and claimed[1][1] == []
+    assert claimed[1][0].startswith("litt43-walk")
 
 
 @pytest.mark.parametrize("blocks", ["default", "small"])
@@ -124,45 +130,73 @@ def test_carving_leaves_every_reduction_bit_equal(monkeypatch, request, blocks):
     assert _reductions() == carved
 
 
+def _walk_threads():
+    return [t.name for t in threading.enumerate() if t.name.startswith("litt43-walk")]
+
+
+def _fail(mods):
+    raise ArithmeticError("reduce failed")
+
+
 def test_walks_below_the_threshold_carve_nothing(small_blocks):
-    # a fresh caller and a fresh pool thread: their buffers stay empty
-    # through threaded multi-block walks of fewer than _POOLED_ELEMENTS
-    # table elements, and no walk, not even a failing one, leaves a scope open
+    # a fresh caller: its buffer and the one it keeps for runner 1 stay
+    # empty through threaded multi-block walks of fewer than
+    # _POOLED_ELEMENTS table elements, and no walk, not even a failing one,
+    # leaves a scope open; a failing walk that carves still hands runner
+    # 1's buffer back
     small_blocks.setattr(opnorm, "_THREADS", 2)
-    pool = ThreadPoolExecutor(1)
-    small_blocks.setattr(opnorm, "_runner_pool", lambda: pool)
     names = _runner_threads(small_blocks)
 
     def state():
-        return len(opnorm._WORKSPACE.buffer), opnorm._WORKSPACE.top
-
-    def fail(mods):
-        raise ArithmeticError("reduce failed")
+        workspace = opnorm._WORKSPACE
+        return len(workspace.buffer), [len(b) for b in workspace.runners], workspace.top
 
     def walks():
         real = np.random.default_rng(23).standard_normal((3, 5, 7))  # 3 x 7 x 2^2 per block
         opnorm._real_norms(real)
-        small = [state(), pool.submit(state).result(timeout=60)]
+        states = [state()]
         large = np.random.default_rng(24).standard_normal((1024, 4))  # 1024 x 2^2 per block
         for rows in (real[0], large):
             with pytest.raises(ArithmeticError):
-                opnorm._walk(rows[:, 0], rows[:, 1:], 2, opnorm._SIGN_TABLE_CAP, fail)
-            assert opnorm._WORKSPACE.top is None
-        return small
+                opnorm._walk(rows[:, 0], rows[:, 1:], 2, opnorm._SIGN_TABLE_CAP, _fail)
+            states.append(state())
+        return states
 
     caller = ThreadPoolExecutor(1)
     try:
-        assert caller.submit(walks).result(timeout=60) == [(0, None), (0, None)]
-        assert pool.submit(state).result(timeout=60)[1] is None
+        small, failed, carved = caller.submit(walks).result(timeout=60)
     finally:
         caller.shutdown()
-        pool.shutdown()
+    assert small == failed == (0, [0], None)
+    assert carved[0] > 0 and carved[1][0] > 0 and carved[2] is None
     assert len(set(names)) == 2
+
+
+def test_no_walk_thread_outlives_its_walk(small_blocks):
+    # the walk joins its runners whether it returns or raises, and a
+    # runner's exception reaches the caller
+    small_blocks.setattr(opnorm, "_THREADS", 2)
+    names = _runner_threads(small_blocks)
+    _reductions()
+    assert any(name.startswith("litt43-walk") for name in names)
+    assert _walk_threads() == []
+    caller = threading.current_thread()
+
+    def fail_in_runner(mods):
+        if threading.current_thread() is not caller:
+            _fail(mods)
+        return mods.max()
+
+    rows = np.random.default_rng(25).standard_normal((1024, 4))
+    for reduce in (_fail, fail_in_runner):
+        with pytest.raises(ArithmeticError, match="reduce failed"):
+            opnorm._walk(rows[:, 0], rows[:, 1:], 2, opnorm._SIGN_TABLE_CAP, reduce)
+        assert _walk_threads() == []
 
 
 def test_concurrent_callers_keep_their_own_workspaces(monkeypatch):
     # three caller threads walk tables carved from their workspaces at
-    # once, two of them with the pool's help; a shared workspace would mix them
+    # once, two of them with a runner thread's help; a shared workspace would mix them
     monkeypatch.setattr(opnorm, "_THREADS", 2)
     monkeypatch.setattr(opnorm, "_THREAD_ELEMENTS", 1)
     monkeypatch.setattr(opnorm, "_THREAD_WORK", 1)
@@ -201,12 +235,13 @@ def _child_norms(seed):
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_children_walk_after_a_threaded_parent(monkeypatch):
-    # the children inherit the parent's pool object but none of its
-    # threads, and a copy of its workspace; two of them walk at once
+    # the parent's walks ran on two threads, joined before the fork; the
+    # children inherit a copy of its workspace, and two of them walk at once
     monkeypatch.setattr(opnorm, "_THREADS", 2)
     monkeypatch.setattr(opnorm, "_THREAD_WORK", 1)
+    names = _runner_threads(monkeypatch)
     expected = [_child_norms(seed) for seed in (1, 2)]
-    assert opnorm._POOL is not None
+    assert len(set(names)) == 2 and _walk_threads() == []
     with multiprocessing.get_context("fork").Pool(2) as pool:
         got = pool.map_async(_child_norms, [1, 2]).get(timeout=60)
     assert got == expected
