@@ -39,7 +39,7 @@ import numpy as np
 from .errors import CapacityError, UndefinedRatioError
 from .exponents import CEILING_SLACK, TWO_OVER_SQRT_PI, Exponent, _as_exponent, _as_integer
 from .forms import _mixed_norms
-from .opnorm import _WORKSPACE, DEFAULT_EVAL_BUDGET, _finite, _overflow_safe, _walk, r_m
+from .opnorm import DEFAULT_EVAL_BUDGET, _finite, _overflow_safe, _walk, r_m
 
 __all__ = [
     "CoefficientVector",
@@ -148,7 +148,7 @@ def lr_norm(c: Coefficients, r) -> float:
     return float(_lr_norms(_values(c)[None], _as_exponent(r))[0])
 
 
-def _block_sum(mods: np.ndarray) -> np.ndarray:
+def _block_sum(mods: np.ndarray, arena) -> np.ndarray:
     return np.add.reduce(mods, axis=(-2, -1))
 
 
@@ -222,7 +222,7 @@ def e_m_average(c: Coefficients, m: int,
                          error_bound=0.0, m=m)
 
 
-def _circle_means(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
+def _circle_means(a: np.ndarray, rho: np.ndarray, arena=None) -> np.ndarray:
     """E_t |a e^(it) + rho| for a, rho >= 0 (a broadcast against rho), by the AGM.
 
     The mean is (2/pi)(a + rho) E(k), k^2 = 4 a rho / (a + rho)^2, the
@@ -232,19 +232,19 @@ def _circle_means(a: np.ndarray, rho: np.ndarray) -> np.ndarray:
     (Borwein & Borwein, *Pi and the AGM*, 1987, ch. 1).  The pass count is
     fixed, so each element's bits depend on its own inputs alone.  Ties
     a == rho (k = 1, where M(2a, 0) = 0) take the limit 2(a + rho)/pi.
-    Inside a walk the scratch, and so the returned array, is carved from
-    the thread's workspace (``opnorm._WORKSPACE``).
+    With an ``arena`` (a carving walk's) the scratch, and so the returned
+    array, is carved from it.
     """
     shape = np.shape(rho)  # a broadcasts against rho
     # pass 0 in closed form: x_1 = max(a, rho), y_1 = sqrt((a + rho) |a - rho|),
     # and its term min(a, rho)^2 leaves max(a, rho)^2 of a^2 + rho^2
-    x = np.maximum(a, rho, out=_WORKSPACE.array(shape))
-    y = np.subtract(a, rho, out=_WORKSPACE.array(shape))
+    x = np.maximum(a, rho, out=arena and arena.array(shape))
+    y = np.subtract(a, rho, out=arena and arena.array(shape))
     np.abs(y, out=y)
-    d = np.add(a, rho, out=_WORKSPACE.array(shape))
+    d = np.add(a, rho, out=arena and arena.array(shape))
     y *= d
     np.sqrt(y, out=y)
-    total = np.multiply(x, x, out=_WORKSPACE.array(shape))
+    total = np.multiply(x, x, out=arena and arena.array(shape))
     w = 0.5
     for _ in range(_AGM_PASSES - 1):
         np.subtract(x, y, out=d)
@@ -300,14 +300,14 @@ def _quadrature(A: np.ndarray, q: int, budget: int = DEFAULT_EVAL_BUDGET):
     if n == 2:
         return top * _circle_means(np.abs(U[:, 0]), np.abs(U[:, 1])), np.zeros(len(A))
 
-    def level_sums(mods, a):
-        means = _circle_means(a[:, None, None], mods).reshape(len(a), -1)
+    def level_sums(mods, arena, a):
+        means = _circle_means(a[:, None, None], mods, arena).reshape(len(a), -1)
         low = 0
         while q ** low < means.shape[-1]:
             low += 1
         grid = means.reshape((len(a),) + (q,) * low)
         even = grid[(slice(None),) + (slice(None, None, 2),) * low]
-        packed = np.positive(even, out=_WORKSPACE.array(even.shape))  # a contiguous copy
+        packed = np.positive(even, out=arena and arena.array(even.shape))  # a contiguous copy
         coarse = packed.reshape(len(a), -1).sum(axis=-1)
         return np.concatenate((means.sum(axis=-1)[:, None], coarse[:, None]), axis=1)
 

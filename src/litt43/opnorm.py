@@ -19,9 +19,9 @@ Both enumerations, and the exact averages in ``litt43.khinchin``, run on
 one walk over Omega_M^(N-1) (``_walk``): the leading free coordinates
 are tabulated as one block of partial sums (one vectorized pass evaluates
 a whole block), and the remaining high digits run in mixed-radix order,
-each shifting the whole block by its offset.  The walk builds its arrays
-in a growable workspace of each thread (``_WORKSPACE``), and a large walk
-hands its blocks out to the usable cores.
+each shifting the whole block by its offset.  A large walk builds its
+arrays in a growable arena of the calling thread (``_Arena``), and hands
+its blocks out to the usable cores.
 """
 
 from __future__ import annotations
@@ -81,8 +81,8 @@ _THREADS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 _THREAD_ELEMENTS = 1 << 14
 _THREAD_WORK = 1 << 22
 # A walk of fewer table elements allocates its arrays per call: the
-# workspace's bookkeeping costs more than they do (4x24 real_sup_norm,
-# 2-core Xeon: 18 us against 40 us through the workspace), and glibc
+# arena's bookkeeping costs more than they do (4x24 real_sup_norm,
+# 2-core Xeon: 18 us against 40 us through the arena), and glibc
 # serves them from its free lists.
 _POOLED_ELEMENTS = 1 << 12
 
@@ -117,7 +117,7 @@ class TorusNormBounds:
     discrete_norm: float
 
     def __post_init__(self):
-        slack = 1e-12 * max(1.0, self.discrete_norm)
+        slack = 1e-12 * self.discrete_norm  # relative: an absolute slack passes any small form
         if not (self.discrete_norm - slack <= self.lower <= self.upper + slack):
             raise ValueError(
                 f"inconsistent bounds: discrete={self.discrete_norm!r} "
@@ -146,50 +146,35 @@ _FLOAT64 = np.dtype(np.float64)
 _PRIVATE = {"flags": mmap.MAP_PRIVATE} if hasattr(mmap, "MAP_PRIVATE") else {}
 
 
-class _Workspace(threading.local):
-    """One growable buffer of each thread, carved into the arrays of the walk that runs in it.
+class _Arena:
+    """One growable buffer, carved into the arrays of the walk that runs in it.
 
     A walk that allocated its table-sized arrays afresh on each call took
     its pages back from the kernel as minor faults whenever glibc had
     trimmed the heap in between (112 faults per 12x12 ``real_sup_norm`` in
-    a loop); a buffer that stays mapped faults once.  A scope (``enter``
-    ... ``release``) carves its arrays in call order and hands them back
-    together at its end, so the buffer grows to the arrays of the largest
-    walk, not to the largest array of each kind.  The buffer is an
-    anonymous mapping, not a malloc block: an outgrown buffer is unmapped
-    once its arrays are gone (as a malloc block, glibc kept it in its heap,
-    and certify's peak_rss_mb read +9.5%), and every array starts on a
-    64-byte cache line (at malloc's 16-byte alignment the table steps of a
-    12x12 norm ran 24% slower; 2-core Xeon VM).
+    a loop); a buffer that stays mapped faults once.  A scope saves ``top``
+    and restores it, handing back every array carved since, so the buffer
+    grows to the arrays of the largest walk, not to the largest array of
+    each kind.  The buffer is an anonymous mapping, not a malloc block: an
+    outgrown buffer is unmapped once its arrays are gone (as a malloc
+    block, glibc kept it in its heap, and certify's peak_rss_mb read
+    +9.5%), and every array starts on a 64-byte cache line (at malloc's
+    16-byte alignment the table steps of a 12x12 norm ran 24% slower;
+    2-core Xeon VM).
     """
 
     def __init__(self):
         self.buffer = np.empty(0, np.uint8)
-        self.top = None  # bytes carved by the open scopes; None when none is open
-        self.runners = []  # the buffers of runners 1, 2, ... of this thread's walks
-
-    def enter(self):
-        """Open a scope; returns the mark that ``release`` takes back to."""
-        mark = self.top
-        self.top = mark or 0
-        return mark
-
-    def release(self, mark):
-        """Hand back every array carved since ``mark``."""
-        self.top = mark
+        self.top = 0  # bytes carved by the open scopes
+        self.runners = []  # the arenas of runners 1, 2, ... of this arena's walks
 
     def array(self, shape: tuple, dtype: np.dtype = _FLOAT64):
         """``out=`` for a ufunc: an uninitialized C-contiguous array carved from the buffer.
 
-        Outside a scope it is None, so the ufunc allocates afresh: a walk of
-        _POOLED_ELEMENTS table elements or more opens a scope and carves
-        every array it builds, and a smaller walk allocates every array.  A
-        carve past the end maps a larger buffer; the arrays already carved
+        A carve past the end maps a larger buffer; the arrays already carved
         keep the old one until they are gone.
         """
         start = self.top
-        if start is None:
-            return None
         size = math.prod(shape)
         self.top = end = start + (size * dtype.itemsize + 63) // 64 * 64
         if end > len(self.buffer):  # pages past the top stay unmapped until used
@@ -198,10 +183,18 @@ class _Workspace(threading.local):
         return np.ndarray(shape, dtype, self.buffer, start)
 
 
-_WORKSPACE = _Workspace()
+class _ThreadArena(threading.local):
+    """The arena of each calling thread, made on its first carving walk."""
+
+    def __init__(self):
+        self.arena = _Arena()
 
 
-def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np.ndarray:
+_THREAD_ARENA = _ThreadArena()
+
+
+def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray,
+                  arena) -> np.ndarray:
     """first + sum_j cols[..., j] * points[d_j] over every digit tuple, as (..., K, M^L).
 
     Leading axes of ``first`` (..., K) and ``cols`` (..., K, L) are batch
@@ -211,20 +204,22 @@ def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np
     every step adds M contiguous copies of the table.  The table is always
     C-contiguous, even with no columns: numpy's reductions over it
     associate by layout, and a strided stack would sum in another order.
-    In a workspace scope (a walk of _POOLED_ELEMENTS table elements or
-    more) the table is carved from it: the steps alternate between the
-    result and a spare, which is handed back on return (only its first 1/M
-    is ever written, so the pages after that cost nothing until the next
-    carve reuses them).  Outside one (a smaller walk) each step allocates.
+    With an arena the steps alternate between the result and a spare,
+    handed back at once: nothing else is carved before the return, and only
+    its first 1/M is ever written, so the pages after that cost nothing
+    until a later carve reuses them.
     """
     table = np.ascontiguousarray(first)[..., None]
     contribs = cols[..., None] * points  # (..., K, L, M)
     steps = cols.shape[-1]
     size = table.size * len(points) ** steps
     dtype = np.promote_types(contribs.dtype, table.dtype)
-    result = _WORKSPACE.array((size,), dtype)
-    mark = _WORKSPACE.top
-    spare = _WORKSPACE.array((size,), dtype)
+    result = spare = None
+    if arena is not None:
+        result = arena.array((size,), dtype)
+        mark = arena.top
+        spare = arena.array((size,), dtype)
+        arena.top = mark
     for j in range(steps):
         out = None
         if result is not None:  # the last step writes the result
@@ -232,29 +227,28 @@ def _partial_sums(first: np.ndarray, cols: np.ndarray, points: np.ndarray) -> np
                              result if (steps - j) % 2 else spare)
         table = np.add(contribs[..., j, :, None], table[..., None, :],
                        out=out).reshape(first.shape + (-1,))
-    _WORKSPACE.release(mark)
     return table
 
 
-def _run_blocks(table, offsets, claim, reduce, carry, results):
+def _run_blocks(table, offsets, claim, reduce, carry, results, arena):
     """Set results[h] to ``reduce`` of |table + offsets[..., h]| for each block h claimed.
 
     ``claim()`` returns the next unclaimed block, or None when there is
-    none; ``results`` has one slot per block.  In a workspace scope (a
-    walk of _POOLED_ELEMENTS table elements or more) the block, and a
-    complex block's moduli (a real one holds its own), are carved once, and
-    each reduction's scratch is handed back before the next block; outside
-    one (a smaller walk) they are allocated.
+    none; ``results`` has one slot per block.  The block, and a complex
+    block's moduli (a real one holds its own), are made once; each
+    reduction's scratch is handed back to ``arena`` before the next block.
     """
-    block = _WORKSPACE.array(table.shape, table.dtype)
-    if block is None:
-        block = np.empty_like(table)
-    mods = block if block.dtype == np.float64 else _WORKSPACE.array(table.shape)
-    scratch = _WORKSPACE.top
+    mark = arena and arena.top
+    block = np.empty_like(table) if arena is None else arena.array(table.shape, table.dtype)
+    mods = block if block.dtype == np.float64 else arena and arena.array(table.shape)
+    scratch = arena and arena.top
     for h in iter(claim, None):
-        _WORKSPACE.release(scratch)
+        if arena is not None:
+            arena.top = scratch
         results[h] = reduce(np.abs(np.add(table, offsets[..., h, None], out=block), out=mods),
-                            *carry)
+                            arena, *carry)
+    if arena is not None:
+        arena.top = mark
 
 
 def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
@@ -274,7 +268,8 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
     units is walked in parts of max(1, _STACK_ELEMENTS // (K * T * unit))
     members, and the reductions are joined along it.  Each ``carry`` array
     has that batch axis first and travels with its members:
-    ``reduce(mods, *carry)`` gets the slices of the members in ``mods``.
+    ``reduce(mods, arena, *carry)`` gets the slices of the members in
+    ``mods``.
     Block h, column t holds pattern g = h * T + t, digits
     ``np.unravel_index(g, (M,) * L, order="F")`` (column 0 least
     significant).  Returns the list of reductions, in block order.
@@ -290,12 +285,15 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
     is summed as in a serial walk and its reduction lands in its own slot,
     so the bits do not depend on the runners.  ``reduce`` runs in the
     runner's thread; its exception reaches the caller once every runner
-    is joined.  Workspace: a walk (or part) of _POOLED_ELEMENTS table
-    elements or more, B x K x T, carves every array it builds from the
-    calling thread's ``_WORKSPACE``, runner k from the buffer that thread
-    keeps for it (``_WORKSPACE.runners``), so each buffer is reused across
-    blocks and calls; ``reduce`` must therefore not keep its argument, nor
-    return a view of the workspace.  A smaller walk allocates every array.
+    is joined.
+
+    Arena: a walk (or part) of _POOLED_ELEMENTS table elements or more,
+    B x K x T, looks up the calling thread's ``_Arena`` once and passes it
+    down to every function that builds an array, ``reduce`` included; each
+    carves its ``out=`` arrays from it, runner k from the arena's
+    ``runners[k]``, so each buffer is reused across blocks and calls.
+    ``reduce`` must therefore not keep its argument, nor return a view of
+    the arena.  A smaller walk passes None, and every array is allocated.
     """
     points = _roots(m)
     low = cols.shape[-1]
@@ -312,21 +310,22 @@ def _walk(first: np.ndarray, cols: np.ndarray, m: int, table_cap: int, reduce,
                                *map(operator.itemgetter(part), carry), unit=unit))
         return [np.concatenate(blocks) for blocks in zip(*parts)]
     if first.size * m ** low < _POOLED_ELEMENTS:
-        return _walk_table(first, cols, points, low, reduce, carry, unit)
-    mark = _WORKSPACE.enter()
+        return _walk_table(first, cols, points, low, reduce, carry, unit, None)
+    arena = _THREAD_ARENA.arena
+    mark = arena.top
     try:
-        return _walk_table(first, cols, points, low, reduce, carry, unit)
+        return _walk_table(first, cols, points, low, reduce, carry, unit, arena)
     finally:
-        _WORKSPACE.release(mark)
+        arena.top = mark
 
 
-def _walk_table(first, cols, points, low: int, reduce, carry, unit: int) -> list:
+def _walk_table(first, cols, points, low: int, reduce, carry, unit: int, arena) -> list:
     """``_walk`` of one batch, tabulating the first ``low`` columns."""
     if low == cols.shape[-1]:
-        table = _partial_sums(first, cols, points)
-        return [reduce(np.abs(table, out=_WORKSPACE.array(table.shape)), *carry)]
-    offsets = _partial_sums(np.zeros(first.shape), cols[..., low:], points)
-    table = _partial_sums(first, cols[..., :low], points)
+        table = _partial_sums(first, cols, points, arena)
+        return [reduce(np.abs(table, out=arena and arena.array(table.shape)), arena, *carry)]
+    offsets = _partial_sums(np.zeros(first.shape), cols[..., low:], points, arena)
+    table = _partial_sums(first, cols[..., :low], points, arena)
     blocks = offsets.shape[-1]
     runners = 1
     if table.size >= _THREAD_ELEMENTS and table.size * blocks * unit >= _THREAD_WORK:
@@ -335,7 +334,7 @@ def _walk_table(first, cols, points, low: int, reduce, carry, unit: int) -> list
     results = [None] * blocks
     if runners == 1:
         _run_blocks(table, offsets, functools.partial(next, blocks_left, None), reduce, carry,
-                    results)
+                    results, arena)
         return results
     lock = threading.Lock()
 
@@ -343,38 +342,34 @@ def _walk_table(first, cols, points, low: int, reduce, carry, unit: int) -> list
         with lock:
             return next(blocks_left, None)
 
-    buffers = _WORKSPACE.runners
-    buffers += [np.empty(0, np.uint8)] * (runners - 1 - len(buffers))
-    top = None if _WORKSPACE.top is None else 0
-
-    def run(k):
-        # runner k carves from the caller's buffer k exactly when its walk does
-        _WORKSPACE.buffer, _WORKSPACE.top = buffers[k], top
-        try:
-            _run_blocks(table, offsets, claim, reduce, carry, results)
-        finally:
-            buffers[k] = _WORKSPACE.buffer
-
+    helpers = [None] * (runners - 1)
+    if arena is not None:
+        arena.runners += [_Arena() for _ in range(runners - 1 - len(arena.runners))]
+        helpers = arena.runners[:runners - 1]
+        for helper in helpers:
+            helper.top = 0  # a runner whose reduction raised left its scope open
     # leaving the block joins the runners, which read this thread's table
     with ThreadPoolExecutor(runners - 1, thread_name_prefix="litt43-walk") as pool:
-        futures = [pool.submit(run, k) for k in range(runners - 1)]
-        _run_blocks(table, offsets, claim, reduce, carry, results)
+        futures = [pool.submit(_run_blocks, table, offsets, claim, reduce, carry, results,
+                               helper) for helper in helpers]
+        _run_blocks(table, offsets, claim, reduce, carry, results, arena)
     for future in futures:
         future.result()
     return results
 
 
-def _row_sums(mods: np.ndarray) -> np.ndarray:
-    """mods.sum(axis=-2), carved from this thread's workspace in a carving walk."""
-    return np.add.reduce(mods, axis=-2, out=_WORKSPACE.array(mods.shape[:-2] + mods.shape[-1:]))
+def _row_sums(mods: np.ndarray, arena) -> np.ndarray:
+    """mods.sum(axis=-2), carved from ``arena`` when there is one."""
+    return np.add.reduce(mods, axis=-2,
+                         out=arena and arena.array(mods.shape[:-2] + mods.shape[-1:]))
 
 
-def _block_max(mods: np.ndarray) -> np.ndarray:
-    return np.maximum.reduce(_row_sums(mods), axis=-1)
+def _block_max(mods: np.ndarray, arena) -> np.ndarray:
+    return np.maximum.reduce(_row_sums(mods, arena), axis=-1)
 
 
-def _block_argmax(mods: np.ndarray):
-    sums = _row_sums(mods)
+def _block_argmax(mods: np.ndarray, arena):
+    sums = _row_sums(mods, arena)
     t = np.argmax(sums, axis=-1)
     return np.take_along_axis(sums, t[..., None], axis=-1)[..., 0], t
 

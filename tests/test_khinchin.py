@@ -537,9 +537,9 @@ class TestQuadratureOracles:
         batches = []
         partial_sums = opnorm._partial_sums
 
-        def spy(first, cols, points):
+        def spy(first, cols, points, *rest):
             batches.append(first.shape[0])
-            return partial_sums(first, cols, points)
+            return partial_sums(first, cols, points, *rest)
 
         rng = np.random.default_rng(n)
         A = rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n))

@@ -74,7 +74,7 @@ class TestWalkHighDigits:
     @pytest.mark.parametrize("k", [1, 3])
     def test_mean_reducer(self, m, k):
         first, cols, values = self._case(m, k)
-        sums = opnorm._walk(first, cols, m, m ** 2, lambda block: float(np.abs(block).sum()))
+        sums = opnorm._walk(first, cols, m, m ** 2, lambda block, arena: float(np.abs(block).sum()))
         assert math.fsum(sums) / m ** 4 == pytest.approx(math.fsum(values) / m ** 4,
                                                          rel=1e-12)
 
@@ -534,6 +534,19 @@ class TestComplexNormBounds:
             complex_norm_bounds(form, 8)
         with pytest.raises(ValueError, match="beyond the double range"):
             complex_norm_discrete(form, 8)
+
+    @pytest.mark.parametrize("norm", [2.0 ** -600, 1e-3, 1.0, 2.0 ** 600])
+    def test_inconsistent_intervals_are_refused_at_every_scale(self, norm):
+        # an absolute slack of 1e-12 passed any interval of a form below norm 1e-12
+        factor = r_m(8)
+        for lower, upper in ((norm / 2, norm / factor), (1.5 * norm, 1.2 * norm)):
+            with pytest.raises(ValueError, match="inconsistent bounds"):
+                opnorm.TorusNormBounds(lower=lower, upper=upper, m=8, r_m=factor,
+                                       discrete_norm=norm)
+        for lower in (norm, norm / factor):
+            bounds = opnorm.TorusNormBounds(lower=lower, upper=norm / factor, m=8, r_m=factor,
+                                            discrete_norm=norm)
+            assert bounds.discrete_norm <= bounds.lower <= bounds.upper
 
 
 def golden_section_ascent(entries, y):

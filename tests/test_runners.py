@@ -1,4 +1,4 @@
-"""The walk's runners and per-thread workspaces (``opnorm._walk``).
+"""The walk's runners and arenas (``opnorm._walk``).
 
 The tests set the usable cores to 2 (``opnorm._THREADS``), so a large
 walk shares its blocks with a thread it starts and joins even on one
@@ -134,42 +134,132 @@ def _walk_threads():
     return [t.name for t in threading.enumerate() if t.name.startswith("litt43-walk")]
 
 
-def _fail(mods):
+def _fail(mods, arena):
     raise ArithmeticError("reduce failed")
 
 
+def _in_fresh_thread(fn):
+    """fn() in a thread of its own, whose arena starts empty."""
+    caller = ThreadPoolExecutor(1)
+    try:
+        return caller.submit(fn).result(timeout=60)
+    finally:
+        caller.shutdown()
+
+
+def _state():
+    """(buffer bytes, runner buffer bytes, top) of the calling thread's arena."""
+    arena = opnorm._THREAD_ARENA.arena
+    return len(arena.buffer), [len(r.buffer) for r in arena.runners], arena.top
+
+
 def test_walks_below_the_threshold_carve_nothing(small_blocks):
-    # a fresh caller: its buffer and the one it keeps for runner 1 stay
-    # empty through threaded multi-block walks of fewer than
-    # _POOLED_ELEMENTS table elements, and no walk, not even a failing one,
-    # leaves a scope open; a failing walk that carves still hands runner
-    # 1's buffer back
+    # a fresh caller: its arena stays empty, and keeps no runner arena,
+    # through threaded multi-block walks of fewer than _POOLED_ELEMENTS
+    # table elements, and no walk, not even a failing one, leaves a scope
+    # open; a failing walk that carves fills runner 1's arena too
     small_blocks.setattr(opnorm, "_THREADS", 2)
     names = _runner_threads(small_blocks)
-
-    def state():
-        workspace = opnorm._WORKSPACE
-        return len(workspace.buffer), [len(b) for b in workspace.runners], workspace.top
 
     def walks():
         real = np.random.default_rng(23).standard_normal((3, 5, 7))  # 3 x 7 x 2^2 per block
         opnorm._real_norms(real)
-        states = [state()]
+        states = [_state()]
         large = np.random.default_rng(24).standard_normal((1024, 4))  # 1024 x 2^2 per block
         for rows in (real[0], large):
             with pytest.raises(ArithmeticError):
                 opnorm._walk(rows[:, 0], rows[:, 1:], 2, opnorm._SIGN_TABLE_CAP, _fail)
-            states.append(state())
+            states.append(_state())
         return states
 
-    caller = ThreadPoolExecutor(1)
-    try:
-        small, failed, carved = caller.submit(walks).result(timeout=60)
-    finally:
-        caller.shutdown()
-    assert small == failed == (0, [0], None)
-    assert carved[0] > 0 and carved[1][0] > 0 and carved[2] is None
+    small, failed, carved = _in_fresh_thread(walks)
+    assert small == failed == (0, [], 0)
+    assert carved[0] > 0 and carved[1][0] > 0 and carved[2] == 0
     assert len(set(names)) == 2
+
+
+def _arenas_seen(walk):
+    """[(thread name, arena)] of each reduction of ``walk(reduce)``, with the caller's arena."""
+    seen = []
+
+    def reduce(mods, arena):
+        seen.append((threading.current_thread().name, arena))
+        return mods.max()
+
+    walk(reduce)
+    return seen, opnorm._THREAD_ARENA.arena
+
+
+def test_reducers_get_an_arena_from_the_threshold_on(small_blocks):
+    small_blocks.setattr(opnorm, "_THREADS", 1)
+    rows = np.random.default_rng(26).standard_normal((1024, 4))  # 1024 x 2^2 per block
+
+    def walks():
+        return [_arenas_seen(lambda reduce: opnorm._walk(
+                    r[:, 0], r[:, 1:], 2, opnorm._SIGN_TABLE_CAP, reduce))
+                for r in (rows[:opnorm._POOLED_ELEMENTS // 4 - 1], rows)]
+
+    (below, _), (above, arena) = _in_fresh_thread(walks)
+    assert len(below) == len(above) == 2
+    assert [a for _, a in below] == [None, None]
+    assert all(a is arena for _, a in above) and arena.top == 0
+
+
+def test_the_extra_runner_carves_from_the_callers_runner_arena(small_blocks):
+    small_blocks.setattr(opnorm, "_THREADS", 2)
+    rows = np.random.default_rng(27).standard_normal((1024, 5))  # 4 blocks of 1024 x 2^2
+    started = threading.Event()
+
+    def walk(reduce):
+        def held(mods, arena):
+            # the caller waits in its first block until runner 1 has one
+            if threading.current_thread().name.startswith("litt43-walk"):
+                started.set()
+            else:
+                assert started.wait(60)
+            return reduce(mods, arena)
+
+        opnorm._walk(rows[:, 0], rows[:, 1:], 2, opnorm._SIGN_TABLE_CAP, held)
+
+    seen, arena = _in_fresh_thread(lambda: _arenas_seen(walk))
+    runner = {a for name, a in seen if name.startswith("litt43-walk")}
+    caller = {a for name, a in seen if not name.startswith("litt43-walk")}
+    # runner 1 may claim every block before the caller claims one
+    assert len(seen) == 4 and caller <= {arena} and len(arena.runners) == 1
+    assert runner == {arena.runners[0]} and arena.runners[0] is not arena
+
+
+def test_threaded_walks_reuse_and_release_their_arenas(small_blocks):
+    # ten threaded walks, the fifth failing in runner 1: every walk starts
+    # its runner at top 0, the arenas end with no scope open, and runner 1's
+    # buffer keeps the size the first walk gave it
+    small_blocks.setattr(opnorm, "_THREADS", 2)
+    rows = np.random.default_rng(28).standard_normal((1024, 5))  # 4 blocks of 1024 x 2^2
+
+    def walks():
+        started = threading.Event()
+
+        def fail_in_runner(mods, arena):
+            if threading.current_thread().name.startswith("litt43-walk"):
+                started.set()
+                _fail(mods, arena)
+            assert started.wait(60)  # runner 1 gets a block before the caller's first returns
+            return mods.max()
+
+        sizes = []
+        for i in range(10):
+            reduce = fail_in_runner if i == 4 else opnorm._block_max
+            try:
+                opnorm._walk(rows[:, 0], rows[:, 1:], 2, opnorm._SIGN_TABLE_CAP, reduce)
+            except ArithmeticError:
+                assert i == 4
+            sizes.append(len(opnorm._THREAD_ARENA.arena.runners[0].buffer))
+        arena = opnorm._THREAD_ARENA.arena
+        return sizes, arena.top, [r.top for r in arena.runners]
+
+    sizes, top, runner_tops = _in_fresh_thread(walks)
+    assert sizes[0] > 0 and sizes == [sizes[0]] * 10
+    assert top == 0 and runner_tops == [0]
 
 
 def test_no_walk_thread_outlives_its_walk(small_blocks):
@@ -182,9 +272,9 @@ def test_no_walk_thread_outlives_its_walk(small_blocks):
     assert _walk_threads() == []
     caller = threading.current_thread()
 
-    def fail_in_runner(mods):
+    def fail_in_runner(mods, arena):
         if threading.current_thread() is not caller:
-            _fail(mods)
+            _fail(mods, arena)
         return mods.max()
 
     rows = np.random.default_rng(25).standard_normal((1024, 4))
@@ -195,8 +285,8 @@ def test_no_walk_thread_outlives_its_walk(small_blocks):
 
 
 def test_concurrent_callers_keep_their_own_workspaces(monkeypatch):
-    # three caller threads walk tables carved from their workspaces at
-    # once, two of them with a runner thread's help; a shared workspace would mix them
+    # three caller threads walk tables carved from their arenas at once,
+    # two of them with a runner thread's help; a shared arena would mix them
     monkeypatch.setattr(opnorm, "_THREADS", 2)
     monkeypatch.setattr(opnorm, "_THREAD_ELEMENTS", 1)
     monkeypatch.setattr(opnorm, "_THREAD_WORK", 1)
@@ -236,7 +326,7 @@ def _child_norms(seed):
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
 def test_forked_children_walk_after_a_threaded_parent(monkeypatch):
     # the parent's walks ran on two threads, joined before the fork; the
-    # children inherit a copy of its workspace, and two of them walk at once
+    # children inherit a copy of its arenas, and two of them walk at once
     monkeypatch.setattr(opnorm, "_THREADS", 2)
     monkeypatch.setattr(opnorm, "_THREAD_WORK", 1)
     names = _runner_threads(monkeypatch)
@@ -255,7 +345,7 @@ def test_smaller_walk_after_a_larger_one_keeps_fresh_process_bits():
         filter(None, [src, os.environ.get("PYTHONPATH")])))
     fresh = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                            text=True, check=True).stdout.strip()
-    # the complex walk leaves its table, blocks and moduli in the workspace
+    # the complex walk leaves its table, blocks and moduli in the arena
     litt43.complex_norm_bounds(random_form("complex", 2, 6, seed=5), 16)
     assert litt43.real_sup_norm(random_form("real", 12, 12, seed=5)).hex() == fresh
 
@@ -283,12 +373,9 @@ def test_warm_walks_take_no_fresh_pages(monkeypatch, threads):
 
 def test_carved_arrays_start_on_cache_lines():
     # malloc aligns to 16 bytes; table steps written at that offset ran 24% slower
-    mark = opnorm._WORKSPACE.enter()
-    try:
-        sizes = [opnorm._POOLED_ELEMENTS + 1, 3 * opnorm._POOLED_ELEMENTS, 1 << 20]
-        arrays = [opnorm._WORKSPACE.array((n,), dtype) for n, dtype in
-                  zip(sizes, map(np.dtype, (np.float64, np.complex128, np.float64)))]
-    finally:
-        opnorm._WORKSPACE.release(mark)
+    arena = opnorm._Arena()
+    sizes = [opnorm._POOLED_ELEMENTS + 1, 3 * opnorm._POOLED_ELEMENTS, 1 << 20]
+    arrays = [arena.array((n,), dtype) for n, dtype in
+              zip(sizes, map(np.dtype, (np.float64, np.complex128, np.float64)))]
     assert [a.ctypes.data % 64 for a in arrays] == [0, 0, 0]
     assert arrays[2].shape == (1 << 20,) and arrays[1].dtype == np.complex128

@@ -543,9 +543,9 @@ class TestStepWindows:
         batches = []
         partial_sums = opnorm._partial_sums
 
-        def spy(first, cols, points):
+        def spy(first, cols, points, *rest):
             batches.append(first.shape[0])
-            return partial_sums(first, cols, points)
+            return partial_sums(first, cols, points, *rest)
 
         with monkeypatch.context() as patch:
             patch.setattr(opnorm, "_partial_sums", spy)

@@ -7,6 +7,14 @@ scaled by 2^e, bit for bit.  The scales reach 2^+-600, past the square
 root of the double range, where a product of two entries leaves it.  A
 column sign flip of a real form permutes its sign patterns and negates
 whole row sums, so its norm does not move by a bit either.
+
+Certified intervals of one norm must intersect: those of a complex form,
+of its transpose and of a row permutation of it, and the real norm of a
+real form must not exceed the complex upper end of the same entries.
+
+The example count comes from the loaded hypothesis profile (40 by
+default, 400 under ``--hypothesis-profile=symmetry-deep``; see
+``conftest.py``).
 """
 
 import math
@@ -15,12 +23,13 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from litt43 import (BilinearForm, complex_norm_bounds, complex_norm_discrete, e_m_average,
-                    rademacher_average, random_form, real_sup_norm, steinhaus_expectation)
+                    rademacher_average, random_form, real_sup_norm, steinhaus_expectation,
+                    transpose)
 
 SCALES = st.sampled_from([-600, -30, 30, 600])
 SEEDS = st.integers(0, 2 ** 32 - 1)
 ROWS = st.one_of(st.just(1), st.integers(1, 4))  # one-row forms take their own ascent branch
-EXAMPLES = settings(max_examples=40, deadline=None)
+EXAMPLES = settings(deadline=None)
 
 
 def _scaled(A, e):
@@ -82,3 +91,22 @@ def test_steinhaus_quadrature_scales_exactly(n, e, seed):
     c = _coeffs(n, seed)
     value = steinhaus_expectation(c, q=16).value
     assert steinhaus_expectation(c * 2.0 ** e, q=16).value == math.ldexp(value, e)
+
+
+@given(ROWS, st.integers(1, 4), SEEDS, st.data())
+@EXAMPLES
+def test_bounds_of_transpose_and_row_permutation_intersect(rows, cols, seed, data):
+    # ||A|| = ||A^T|| = ||PA||: three certified enclosures of one number
+    A = random_form("complex", rows, cols, seed=seed)
+    order = data.draw(st.permutations(range(rows)))
+    for form in (transpose(A), BilinearForm("complex", A.entries[list(order)])):
+        for m in (3, 8, 16):
+            a, b = complex_norm_bounds(A, m, refine=True), complex_norm_bounds(form, m, refine=True)
+            assert max(a.lower, b.lower) <= min(a.upper, b.upper)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), SEEDS)
+@EXAMPLES
+def test_real_norm_is_below_the_complex_upper_end(rows, cols, seed):
+    R = random_form("real", rows, cols, seed=seed)
+    assert real_sup_norm(R) <= complex_norm_bounds(BilinearForm("complex", R.entries), 8).upper
