@@ -12,11 +12,12 @@ the k-th row sum.  What remains is
   first sign is pinned to +1) and is exact.
 * complex case: the continuum of phases is discretized to the M-th roots
   of unity.  ``complex_norm_discrete`` is the exact maximum over that
-  grid, and the factor R_M = sqrt(1/2 + cos(2*pi/M)/2) certifies the
-  two-sided bound  ||A||_M <= ||A|| <= ||A||_M / R_M.
+  grid on the smaller side, M^(min(K,N)-1) patterns, and the factor
+  R_M = sqrt(1/2 + cos(2*pi/M)/2) certifies the two-sided bound
+  ||A||_M <= ||A|| <= ||A||_M / R_M on either side, as ||A|| = ||A^T||.
 
 Both enumerations, and the exact averages in ``litt43.khinchin``, run on
-one walk over Omega_M^(N-1) (``_walk``): the leading free coordinates
+one walk over Omega_M^L (``_walk``): the leading free coordinates
 are tabulated as one block of partial sums (one vectorized pass evaluates
 a whole block), and the remaining high digits run in mixed-radix order,
 each shifting the whole block by its offset.  A large walk builds its
@@ -105,8 +106,8 @@ _ZOOM = [(d, np.exp(1j * d * np.arange(64))) for d in _ZOOM]
 class TorusNormBounds:
     """Certified interval [lower, upper] for a complex sup norm.
 
-    discrete_norm is the exact grid maximum ||A||_M; lower improves on it
-    only through feasible points (phase ascent), so
+    discrete_norm is the exact grid maximum ||A||_M over the smaller side;
+    lower improves on it only through feasible points (phase ascent), so
     discrete_norm <= lower <= ||A|| <= upper = discrete_norm / R_M.
     """
 
@@ -403,14 +404,17 @@ def _finite(value: float, what: str) -> float:
     return value
 
 
-def _sign_norms(E: np.ndarray) -> np.ndarray:
-    """max over sign vectors y of sum_k |(e y)_k| per matrix of the stack E.
+def _smaller_side(E: np.ndarray) -> np.ndarray:
+    """E, or its transpose when E has more columns than rows: ||A|| = ||A^T||."""
+    return E if E.shape[-1] <= E.shape[-2] else np.swapaxes(E, -1, -2)
 
-    e is E, or its transpose when that has fewer columns: ||A|| = ||A^T||,
-    so the walk runs over the smaller side.  y[0] is pinned to +1: y and
-    -y give equal values.
+
+def _sign_norms(E: np.ndarray) -> np.ndarray:
+    """max over sign vectors y of sum_k |(e y)_k|, e each matrix of E on its smaller side.
+
+    y[0] is pinned to +1: y and -y give equal values.
     """
-    e = E if E.shape[-1] <= E.shape[-2] else np.swapaxes(E, -1, -2)
+    e = _smaller_side(E)
     return functools.reduce(np.maximum, _walk(e[..., 0], e[..., 1:], 2, _SIGN_TABLE_CAP,
                                               _block_max))
 
@@ -444,30 +448,33 @@ def real_sup_norm(A: BilinearForm, cap: int = REAL_ENUM_CAP) -> float:
 
 
 def _grid_walk(E: np.ndarray, m: int, budget: int, reduce) -> list:
-    """The walk over T_M^N with the first coordinate pinned to 1, for a stack E (B, K, N)."""
+    """The walk over T_M^n, first coordinate pinned to 1, for the smaller side e of a stack E."""
     m = _as_integer(m, "M", 3)
-    n = E.shape[-1]
+    e = _smaller_side(E)
+    n = e.shape[-1]
     evals = m ** (n - 1)
     if evals > budget:
         raise CapacityError(
-            f"T_{m}^{n} enumeration needs {evals} objective evaluations "
-            f"(after fixing the global phase) but the budget is {budget}"
+            f"T_{m}^{n} enumeration over min(K, N) = {n} coordinates needs {evals} "
+            f"objective evaluations (after fixing the global phase) but the budget is {budget}"
         )
-    return _walk(E[..., 0], E[..., 1:], m, _ROOT_TABLE_CAP, reduce)
+    return _walk(e[..., 0], e[..., 1:], m, _ROOT_TABLE_CAP, reduce)
 
 
 def _grid_norms(E: np.ndarray, m: int, budget: int = DEFAULT_EVAL_BUDGET) -> np.ndarray:
-    """||A||_M for each K x N matrix of the stack E (B, K, N)."""
+    """||A||_M over the smaller side for each K x N matrix of the stack E (B, K, N)."""
     return functools.reduce(np.maximum, _grid_walk(E, m, budget, _block_max))
 
 
 def complex_norm_discrete(A: BilinearForm, m: int,
                           budget: int = DEFAULT_EVAL_BUDGET) -> float:
-    """Exact maximum of sum_k |sum_j A_kj y_j| over y in T_M^N.
+    """Exact maximum of sum_k |sum_j A_kj y_j| over y in T_M^N, over the smaller side.
 
-    The first coordinate is pinned to 1 (global phase invariance), so the
-    enumeration costs M^(N-1) objective evaluations, which is what the
-    budget counts.  Real-tagged forms are accepted and treated as complex.
+    A form with more columns than rows is walked as its transpose, since
+    ||A|| = ||A^T||: the first of its min(K, N) coordinates is pinned to 1
+    (global phase invariance), so the enumeration costs M^(min(K,N)-1)
+    objective evaluations, which is what the budget counts.  Real-tagged
+    forms are accepted and treated as complex.
     The form is walked at ``_overflow_safe``'s scale; a norm beyond the
     double range raises ValueError.
     """
@@ -493,13 +500,12 @@ def _coordinate_phase_ascent(entries: np.ndarray, y: np.ndarray) -> float:
     Each zoom round evaluates f at 64 equally spaced angles, all rows at
     once: round 0 on the circle grid, each later round over the two grid
     spacings around the previous round's first argmax (``_ZOOM``), until
-    the bracket is at most ``_ASCENT_ANGLE_TOL`` wide.  A form with a
-    single row takes the closed form instead.  The zoom only chooses the
-    angle: the candidate value is f evaluated afresh at the feasible
-    point e^(it), and a move is accepted only on strict improvement, so
-    the returned value is a valid lower bound on ||A||.
+    the bracket is at most ``_ASCENT_ANGLE_TOL`` wide.  The zoom only
+    chooses the angle: the candidate value is f evaluated afresh at the
+    feasible point e^(it), and a move is accepted only on strict
+    improvement, so the returned value is a valid lower bound on ||A||.
     """
-    k, n = entries.shape
+    n = entries.shape[1]
     y = y.astype(np.complex128).copy()
     s = entries @ y
     value = float(np.abs(s).sum())
@@ -508,19 +514,12 @@ def _coordinate_phase_ascent(entries: np.ndarray, y: np.ndarray) -> float:
         for j in range(n):
             aj = entries[:, j]
             c = s - aj * y[j]
-            if k == 1:
-                # single row: |c + a e^(i t)| peaks where the two terms align
-                if abs(aj[0]) == 0.0:
-                    continue
-                # (the angle of c * conj(a) as a difference: the product underflows near 2^-1200)
-                theta = (cmath.phase(c[0]) - cmath.phase(aj[0])) % (2.0 * math.pi)
-            else:
-                lo, c1 = 0.0, c[:, None]
-                for d, table in _ZOOM:
-                    b = (aj * cmath.exp(1j * lo))[:, None]
-                    at = int(np.add.reduce(np.abs(c1 + b * table), axis=0).argmax())
-                    theta = lo + d * at
-                    lo = theta - d
+            lo, c1 = 0.0, c[:, None]
+            for d, table in _ZOOM:
+                b = (aj * cmath.exp(1j * lo))[:, None]
+                at = int(np.add.reduce(np.abs(c1 + b * table), axis=0).argmax())
+                theta = lo + d * at
+                lo = theta - d
             yj = np.exp(1j * theta)
             candidate = float(np.abs(c + aj * yj).sum())
             if candidate > value:
@@ -536,30 +535,33 @@ def complex_norm_bounds(A: BilinearForm, m: int, refine: bool = False,
                         budget: int = DEFAULT_EVAL_BUDGET) -> TorusNormBounds:
     """Certified interval for ||A||: [||A||_M (optionally refined), ||A||_M / R_M].
 
-    Refinement runs coordinate-wise phase ascent from the grid maximizer;
-    it can only raise the lower endpoint through feasible evaluations, so
-    the interval stays valid.  The upper endpoint always uses the
-    unrefined grid norm, whose R_M guarantee is what certification needs.
-    The form is walked and refined at ``_overflow_safe``'s scale; an upper
-    endpoint beyond the double range raises ValueError.
+    The grid, its budget and the refinement run over the smaller side, as
+    in ``complex_norm_discrete``.  Refinement runs coordinate-wise phase
+    ascent from the grid maximizer; it can only raise the lower endpoint
+    through feasible evaluations, so the interval stays valid.  The upper
+    endpoint always uses the unrefined grid norm, whose R_M guarantee is
+    what certification needs.  The form is walked and refined at
+    ``_overflow_safe``'s scale; an upper endpoint beyond the double range
+    raises ValueError.
     """
     m = _as_integer(m, "M", 3)
     factor = r_m(m)
 
     def ends(E):
-        """[[discrete, lower]] of the one form of the stack E."""
-        blocks = [(float(v[0]), int(t[0])) for v, t in _grid_walk(E, m, budget, _block_argmax)]
+        """[[discrete, lower]] of the one form of the stack E, walked on its smaller side."""
+        e = _smaller_side(E)
+        blocks = [(float(v[0]), int(t[0])) for v, t in _grid_walk(e, m, budget, _block_argmax)]
         h = max(range(len(blocks)), key=lambda i: blocks[i][0])  # first maximal block
         discrete, t = blocks[h]
         lower = discrete
         if refine and discrete > 0.0:
-            free = A.cols - 1
+            free = e.shape[-1] - 1
             digits = np.unravel_index(h * (m ** free // len(blocks)) + t, (m,) * free,
                                       order="F")
             y = np.concatenate(([1.0 + 0.0j], _roots(m)[list(digits)]))
             # C order: products with an F-ordered form sum in another order
             lower = max(lower, _coordinate_phase_ascent(
-                np.ascontiguousarray(E[0], dtype=np.complex128), y))
+                np.ascontiguousarray(e[0], dtype=np.complex128), y))
         return np.array([[discrete, lower]])
 
     discrete, lower = map(float, _overflow_safe(ends, A.entries[None], A.rows * A.cols)[0])

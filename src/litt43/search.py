@@ -197,11 +197,9 @@ class _FormObjective(_Objective):
         return tuple(dims)
 
     def cost(self, shape) -> int:
-        """Table elements one evaluation builds."""
+        """Table elements one evaluation builds: both fields walk the smaller side."""
         k, n = shape
-        if self.field == "real":
-            return max(k, n) * 2 ** (min(k, n) - 1)
-        return k * self.m ** (n - 1)
+        return max(k, n) * (2 if self.field == "real" else self.m) ** (min(k, n) - 1)
 
     def normalize(self, X):
         return X

@@ -30,7 +30,13 @@ def naive_real_norm(entries):
 
 
 def naive_complex_grid_norm(entries, m):
-    """Full T_M^N enumeration without phase fixing; the test oracle."""
+    """Full T_M enumeration of the smaller side without phase fixing; the test oracle.
+
+    The grid norm is defined on the side with fewer coordinates (the
+    columns when K = N): a wide form is enumerated as its transpose.
+    """
+    if entries.shape[1] > entries.shape[0]:
+        entries = entries.T
     k, n = entries.shape
     roots = [complex(math.cos(2 * math.pi * j / m), math.sin(2 * math.pi * j / m))
              for j in range(m)]
@@ -102,13 +108,16 @@ class TestWalkHighDigits:
                     naive_real_norm(e), rel=1e-12)
 
     @pytest.mark.parametrize("m", [3, 4])
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_complex_norm_matches_naive_oracle(self, m, k, monkeypatch):
-        rng = np.random.default_rng(50 + 10 * m + k)
-        entries = rng.standard_normal((k, 4)) + 1j * rng.standard_normal((k, 4))
+    @pytest.mark.parametrize("shape", [(4, 5), (5, 4), (4, 4)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_complex_norm_matches_naive_oracle(self, m, shape, monkeypatch):
+        # every shape walks a 4-coordinate side: 3 free columns, of which a
+        # cap of M tabulates one, so two high digits run over M^2 blocks
+        rng = np.random.default_rng(50 + 10 * m + shape[0])
+        entries = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         form = BilinearForm("complex", entries)
         whole = complex_norm_bounds(form, m, refine=True)
         monkeypatch.setattr(opnorm, "_ROOT_TABLE_CAP", m)
+        assert len(opnorm._grid_walk(entries[None], m, 10**8, opnorm._block_max)) == m ** 2
         assert complex_norm_discrete(form, m) == pytest.approx(
             naive_complex_grid_norm(entries, m), rel=1e-12)
         # the refinement starts from the same maximizing pattern either way
@@ -415,10 +424,9 @@ class TestComplexNormDiscrete:
             assert complex_value >= real_value - 1e-12
 
     def test_matches_naive_oracle(self):
+        # wide, square and tall forms, each against the smaller-side oracle
         rng = np.random.default_rng(31)
-        for t in range(8):
-            k = int(rng.integers(1, 4))
-            n = int(rng.integers(1, 4))
+        for k, n in ((1, 3), (2, 3), (1, 1), (2, 2), (3, 3), (3, 2), (3, 1)):
             entries = rng.standard_normal((k, n)) + 1j * rng.standard_normal((k, n))
             for m in (3, 4, 5):
                 fast = complex_norm_discrete(BilinearForm("complex", entries), m)
@@ -426,9 +434,21 @@ class TestComplexNormDiscrete:
                     naive_complex_grid_norm(entries, m), rel=1e-12)
 
     def test_budget_error_names_requirement(self):
-        form = random_form("complex", 2, 9, "gaussian", seed=1)
-        with pytest.raises(CapacityError, match="budget"):
+        # the budget counts the smaller side: 16^5 evaluations for a 6x9 form
+        form = random_form("complex", 6, 9, "gaussian", seed=1)
+        with pytest.raises(CapacityError, match=r"min\(K, N\) = 6 .* 1048576 .* budget"):
             complex_norm_discrete(form, 16, budget=10**6)
+        with pytest.raises(CapacityError, match="budget"):
+            complex_norm_bounds(transpose(form), 16, budget=10**6)
+
+    def test_wide_form_walks_its_rows(self):
+        # 2x9 at M = 16: 16 evaluations on the row side, not 16^8 on the columns
+        form = random_form("complex", 2, 9, "gaussian", seed=1)
+        assert complex_norm_discrete(form, 16, budget=16) == complex_norm_discrete(
+            transpose(form), 16, budget=16)
+        wide = complex_norm_bounds(form, 16, refine=True, budget=16)
+        tall = complex_norm_bounds(transpose(form), 16, refine=True, budget=16)
+        assert wide == tall
 
     def test_rejects_small_m(self):
         with pytest.raises(ValueError):
@@ -516,16 +536,17 @@ class TestComplexNormBounds:
             assert getattr(big, end) == math.ldexp(getattr(plain, end), k)
 
     def test_single_row_refinement_at_the_top_of_the_double_range(self):
-        # unscaled, the closed-form phase of a single row multiplied moduli
-        # near 2^600 and overflowed; largest modulus in [1/2, 1): the walk
-        # scales the 2^600 form back to this one exactly
+        # a 1xN form walks its one-row side: the grid norm is the exact norm
+        # sum |a_j|, which the ascent cannot raise; largest modulus in
+        # [1/2, 1): the walk scales the 2^600 form back to this one exactly
         entries = random_form("complex", 1, 4, seed=7).entries
         entries = 0.75 * entries / np.abs(entries).max()
         plain = complex_norm_bounds(BilinearForm("complex", entries), 8, refine=True)
         big = complex_norm_bounds(BilinearForm("complex", entries * 2.0 ** 600), 8,
                                   refine=True)
-        assert plain.lower > plain.discrete_norm
-        assert big.lower == math.ldexp(plain.lower, 600)
+        assert plain.discrete_norm == pytest.approx(np.abs(entries).sum(), rel=1e-15)
+        assert plain.lower == plain.discrete_norm
+        assert big.lower == big.discrete_norm == math.ldexp(plain.lower, 600)
         assert big.upper == math.ldexp(plain.upper, 600)
 
     def test_bounds_beyond_the_double_range_are_refused(self):

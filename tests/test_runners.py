@@ -49,11 +49,17 @@ def _runner_threads(monkeypatch):
     return names
 
 
+def _grid_blocks(form, m):
+    """The blocks of ``form``'s T_M walk under the current table cap."""
+    return len(opnorm._grid_walk(form.entries[None], m, opnorm.DEFAULT_EVAL_BUDGET,
+                                 opnorm._block_max))
+
+
 def _reductions():
     """Each reducer of the walk on a stack, as raw bytes."""
     rng = np.random.default_rng(20)
     real = rng.standard_normal((3, 5, 7))
-    cplx = random_form("complex", 3, 5, seed=21)
+    cplx = random_form("complex", 5, 5, seed=21)  # 8^4 patterns: 8^2 blocks under small_blocks
     coeffs = rng.standard_normal((2, 6)) + 1j * rng.standard_normal((2, 6))
     bounds = litt43.complex_norm_bounds(cplx, 8, refine=True)
     return {
@@ -72,6 +78,7 @@ def test_runners_leave_every_reduction_bit_equal(small_blocks):
     threaded = _reductions()
     assert threaded == serial
     assert any(name != threading.current_thread().name for name in names)
+    assert _grid_blocks(random_form("complex", 5, 5, seed=21), 8) == 8 ** 2
 
 
 def test_serial_walks_stay_in_the_calling_thread(small_blocks):
@@ -290,13 +297,17 @@ def test_concurrent_callers_keep_their_own_workspaces(monkeypatch):
     monkeypatch.setattr(opnorm, "_THREADS", 2)
     monkeypatch.setattr(opnorm, "_THREAD_ELEMENTS", 1)
     monkeypatch.setattr(opnorm, "_THREAD_WORK", 1)
-    cform = random_form("complex", 2, 7, seed=1)  # 8 blocks of 2 x 8^5
+    monkeypatch.setattr(opnorm, "_ROOT_TABLE_CAP", 8 ** 4)
+    cform = random_form("complex", 6, 6, seed=1)  # 8 blocks of 6 x 8^4
     rform = random_form("real", 14, 14, seed=2)   # one block of 14 x 2^13
     coeffs = np.random.default_rng(3).standard_normal(5) + 1j  # 64 blocks of 64^2
     jobs = {"complex": lambda: litt43.complex_norm_bounds(cform, 8).discrete_norm,
             "real": lambda: litt43.real_sup_norm(rform),
             "steinhaus": lambda: litt43.steinhaus_expectation(coeffs, q=64).value}
-    expected = {name: job() for name, job in jobs.items()}
+    names = _runner_threads(monkeypatch)
+    expected = {"complex": jobs["complex"]()}
+    assert _grid_blocks(cform, 8) == 8 and len(set(names)) == 2  # the complex walk threads
+    expected.update((name, job()) for name, job in jobs.items() if name != "complex")
     got = {name: [] for name in jobs}
 
     def loop(name):
@@ -319,7 +330,7 @@ def test_concurrent_callers_keep_their_own_workspaces(monkeypatch):
 
 
 def _child_norms(seed):
-    form = random_form("complex", 2, 7, seed=seed)
+    form = random_form("complex", 6, 6, seed=seed)  # 8 blocks of 6 x 8^4 at the test's cap
     return [litt43.complex_norm_bounds(form, 8).discrete_norm for _ in range(5)]
 
 
@@ -329,9 +340,11 @@ def test_forked_children_walk_after_a_threaded_parent(monkeypatch):
     # children inherit a copy of its arenas, and two of them walk at once
     monkeypatch.setattr(opnorm, "_THREADS", 2)
     monkeypatch.setattr(opnorm, "_THREAD_WORK", 1)
+    monkeypatch.setattr(opnorm, "_ROOT_TABLE_CAP", 8 ** 4)
     names = _runner_threads(monkeypatch)
     expected = [_child_norms(seed) for seed in (1, 2)]
     assert len(set(names)) == 2 and _walk_threads() == []
+    assert _grid_blocks(random_form("complex", 6, 6, seed=1), 8) == 8
     with multiprocessing.get_context("fork").Pool(2) as pool:
         got = pool.map_async(_child_norms, [1, 2]).get(timeout=60)
     assert got == expected
@@ -346,7 +359,9 @@ def test_smaller_walk_after_a_larger_one_keeps_fresh_process_bits():
     fresh = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                            text=True, check=True).stdout.strip()
     # the complex walk leaves its table, blocks and moduli in the arena
-    litt43.complex_norm_bounds(random_form("complex", 2, 6, seed=5), 16)
+    cform = random_form("complex", 7, 7, seed=5)  # 8 blocks of 7 x 8^5
+    assert _grid_blocks(cform, 8) == 8
+    litt43.complex_norm_bounds(cform, 8)
     assert litt43.real_sup_norm(random_form("real", 12, 12, seed=5)).hex() == fresh
 
 

@@ -567,6 +567,18 @@ class TestStepWindows:
         assert self._largest_batch(
             monkeypatch, lambda: maximize_ratio("real", _PAIR, cfg)) == restarts * 64
 
+    def test_wide_and_tall_complex_forms_get_one_window(self, monkeypatch):
+        # both walk the 2-coordinate side: 6 x 16 table elements an evaluation
+        windows = []
+        for dims in ((2, 6), (6, 2)):
+            objective = search._make_objective("form_ratio", {
+                "field": "complex", "a": "4/3", "b": "4/3", "m": 16})
+            assert objective.cost(dims) == 6 * 16
+            cfg = SearchConfig(restarts=1, steps=100, scale=0.5, seed=3, dims=dims)
+            windows.append(self._largest_batch(
+                monkeypatch, lambda: maximize_ratio("complex", _PAIR, cfg, m=16)))
+        assert windows == [64, 64]
+
     def test_expensive_objectives_step_one_proposal_at_a_time(self, monkeypatch):
         # without the bound on table elements a window of 64 Steinhaus N = 6
         # proposals builds 64 tables of 16^5 entries at once

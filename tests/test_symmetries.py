@@ -10,7 +10,9 @@ whole row sums, so its norm does not move by a bit either.
 
 Certified intervals of one norm must intersect: those of a complex form,
 of its transpose and of a row permutation of it, and the real norm of a
-real form must not exceed the complex upper end of the same entries.
+real form must not exceed the complex upper end of the same entries.  A
+form that is not square and its transpose walk the same side, so their
+grid norms and refined intervals are bit-equal.
 
 The example count comes from the loaded hypothesis profile (40 by
 default, 400 under ``--hypothesis-profile=symmetry-deep``; see
@@ -20,7 +22,7 @@ default, 400 under ``--hypothesis-profile=symmetry-deep``; see
 import math
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from litt43 import (BilinearForm, complex_norm_bounds, complex_norm_discrete, e_m_average,
                     rademacher_average, random_form, real_sup_norm, steinhaus_expectation,
@@ -28,7 +30,7 @@ from litt43 import (BilinearForm, complex_norm_bounds, complex_norm_discrete, e_
 
 SCALES = st.sampled_from([-600, -30, 30, 600])
 SEEDS = st.integers(0, 2 ** 32 - 1)
-ROWS = st.one_of(st.just(1), st.integers(1, 4))  # one-row forms take their own ascent branch
+ROWS = st.one_of(st.just(1), st.integers(1, 4))  # one-row forms walk a single coordinate
 EXAMPLES = settings(deadline=None)
 
 
@@ -66,8 +68,7 @@ def test_complex_norm_discrete_scales_exactly(rows, cols, e, seed):
 @given(ROWS, st.integers(1, 5), SCALES, SEEDS)
 @EXAMPLES
 def test_refined_bounds_scale_exactly(rows, cols, e, seed):
-    # the ascent stops on a relative gain, and takes a one-row angle as a
-    # difference of phases, so no tolerance or product depends on the scale
+    # the ascent stops on a relative gain, so no tolerance depends on the scale
     A = random_form("complex", rows, cols, seed=seed)
     bounds = complex_norm_bounds(A, 8, refine=True)
     scaled = complex_norm_bounds(_scaled(A, e), 8, refine=True)
@@ -110,3 +111,16 @@ def test_bounds_of_transpose_and_row_permutation_intersect(rows, cols, seed, dat
 def test_real_norm_is_below_the_complex_upper_end(rows, cols, seed):
     R = random_form("real", rows, cols, seed=seed)
     assert real_sup_norm(R) <= complex_norm_bounds(BilinearForm("complex", R.entries), 8).upper
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.sampled_from([0, -600, 600]), SEEDS)
+@EXAMPLES
+def test_wide_and_tall_forms_walk_the_same_side(rows, cols, e, seed):
+    # the grid runs over the smaller side of A and of A^T alike
+    assume(rows != cols)
+    A = _scaled(random_form("complex", rows, cols, seed=seed), e)
+    for m in (3, 8, 16):
+        assert complex_norm_discrete(transpose(A), m) == complex_norm_discrete(A, m)
+        a, b = complex_norm_bounds(A, m, refine=True), complex_norm_bounds(transpose(A), m,
+                                                                            refine=True)
+        assert (a.discrete_norm, a.lower, a.upper) == (b.discrete_norm, b.lower, b.upper)
