@@ -538,11 +538,12 @@ def complex_norm_bounds(A: BilinearForm, m: int, refine: bool = False,
     The grid, its budget and the refinement run over the smaller side, as
     in ``complex_norm_discrete``.  Refinement runs coordinate-wise phase
     ascent from the grid maximizer; it can only raise the lower endpoint
-    through feasible evaluations, so the interval stays valid.  The upper
-    endpoint always uses the unrefined grid norm, whose R_M guarantee is
-    what certification needs.  The form is walked and refined at
-    ``_overflow_safe``'s scale; an upper endpoint beyond the double range
-    raises ValueError.
+    through feasible evaluations, so the interval stays valid.  A form
+    with one row or one column is not refined: its grid norm is its norm.
+    The upper endpoint always uses the unrefined grid norm, whose R_M
+    guarantee is what certification needs.  The form is walked and refined
+    at ``_overflow_safe``'s scale; an upper endpoint beyond the double
+    range raises ValueError.
     """
     m = _as_integer(m, "M", 3)
     factor = r_m(m)
@@ -554,8 +555,10 @@ def complex_norm_bounds(A: BilinearForm, m: int, refine: bool = False,
         h = max(range(len(blocks)), key=lambda i: blocks[i][0])  # first maximal block
         discrete, t = blocks[h]
         lower = discrete
-        if refine and discrete > 0.0:
-            free = e.shape[-1] - 1
+        free = e.shape[-1] - 1
+        # one walked coordinate (a 1xN or Nx1 form): the grid norm is already
+        # the norm sum |a_j|, and the ascent could only round above it
+        if refine and free and discrete > 0.0:
             digits = np.unravel_index(h * (m ** free // len(blocks)) + t, (m,) * free,
                                       order="F")
             y = np.concatenate(([1.0 + 0.0j], _roots(m)[list(digits)]))

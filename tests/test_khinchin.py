@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,42 @@ def naive_rademacher(coeffs):
     for signs in itertools.product((-1.0, 1.0), repeat=n):
         total += abs(sum(s * c for s, c in zip(signs, coeffs)))
     return total / 2 ** n
+
+
+def exact_rademacher(coeffs):
+    """The exact mean of |sum c_n eps_n| over all 2^N sign patterns of the
+    float inputs, as a Fraction: each float is a dyadic rational, so the
+    sums are integers over one power-of-two denominator.  The exact oracle;
+    stdlib only."""
+    ratios = [Fraction(float(x)) for x in coeffs]
+    den = max(r.denominator for r in ratios)
+    ints = [int(r * den) for r in ratios]
+    total = sum(abs(sum(s * k for s, k in zip(signs, ints)))
+                for signs in itertools.product((-1, 1), repeat=len(ints)))
+    return Fraction(total, den * 2 ** len(ints))
+
+
+def ulps_off(value, exact):
+    """|value - exact| in units in the last place of the double nearest exact."""
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+
+
+# Stated error bounds of the two Rademacher paths, in ulps of the exact mean
+# of the float inputs.  The meet in the middle rounds an exact integer
+# combination once, so only a pattern whose sum lies within rounding of zero
+# can move it past half an ulp (0.5 seen on 3,000 vectors with N <= 12:
+# Gaussian, mixed scales 1e-8..1e8, sparse, integers plus 1e-15 noise).  The
+# walk rounds every pattern sum and its block sums (3.0 seen on the same).
+SPLIT_ULPS = 1
+WALK_ULPS = 4
+
+
+def _oracle_vectors(rng, n):
+    """Gaussian, mixed-scale, sparse and near-integer vectors of length n."""
+    return [rng.standard_normal(n),
+            rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n),
+            rng.standard_normal(n) * (rng.random(n) < 0.5),
+            rng.integers(-3, 4, n) + rng.standard_normal(n) * 1e-15]
 
 
 def trapezoid_circle_mean(a, rho, nodes=1 << 20):
@@ -132,16 +169,35 @@ class TestRademacherAverage:
         assert rademacher_average(z).value == pytest.approx(naive_rademacher(z), rel=1e-13)
 
     def test_cap(self):
+        # real vectors meet in the middle up to N = 40; complex ones are
+        # walked, 2^(N-1) patterns, and stop at N = 30 whatever the cap
+        with pytest.raises(CapacityError, match="N = 40"):
+            rademacher_average(np.ones(41))
         with pytest.raises(CapacityError, match="N = 30"):
-            rademacher_average(np.ones(31))
+            rademacher_average(np.ones(31, dtype=complex))
+        with pytest.raises(CapacityError, match="N = 30"):
+            rademacher_average(np.ones(31, dtype=complex), cap=35)
+        with pytest.raises(CapacityError, match="N = 20"):
+            rademacher_average(np.ones(21), cap=20)
 
     def test_gray_walk_over_high_bits_n23(self):
-        # N - 1 > 20 exercises the tabulated-block / high-digit split;
-        # padding with zeros keeps the exact value analytic
+        # padding with zeros keeps the exact value analytic; a real vector
+        # this long meets in the middle, with the nonzero coefficients on
+        # either side of the split or pinned
         c = np.zeros(23)
-        c[-2], c[-1] = 3.0, 4.0  # nonzero columns land in the high group
+        c[-2], c[-1] = 3.0, 4.0
         assert rademacher_average(c).value == 4.0
         c2 = np.zeros(23)
+        c2[0], c2[-1] = 1.0, 1.0
+        assert rademacher_average(c2).value == 1.0
+
+    def test_gray_walk_over_high_bits_n23_complex(self):
+        # a complex vector is walked: N - 1 > 20 exercises the tabulated-block
+        # / high-digit split, and the nonzero columns land in the high group
+        c = np.zeros(23, dtype=complex)
+        c[-2], c[-1] = 3.0, 4.0j
+        assert rademacher_average(c).value == 5.0
+        c2 = np.zeros(23, dtype=complex)
         c2[0], c2[-1] = 1.0, 1.0
         assert rademacher_average(c2).value == 1.0
 
@@ -149,6 +205,42 @@ class TestRademacherAverage:
         result = rademacher_average([1.0, 2.0])
         assert result.kind == "rademacher" and result.method == "enumeration"
         assert result.error_bound == 0.0
+
+
+class TestExactOracle:
+    """Both Rademacher paths against the exact rational mean, for N <= 12;
+    the meet in the middle through its private function, since the public
+    path walks these lengths."""
+
+    def test_split_and_walk_within_their_ulp_bounds(self):
+        rng = np.random.default_rng(12)
+        vectors = [rng.standard_normal(12) for _ in range(30)]
+        for n in (3, 5, 8, 11, 12):
+            vectors += _oracle_vectors(rng, n)
+        for a in vectors:
+            if not a.any():
+                continue
+            exact = exact_rademacher(a)
+            assert ulps_off(khinchin._split_mean(a), exact) <= SPLIT_ULPS
+            assert ulps_off(rademacher_average(a).value, exact) <= WALK_ULPS
+
+    @pytest.mark.parametrize("a", [np.ones(12), np.arange(1.0, 13.0), np.zeros(7),
+                                   np.array([3.0, -1, 4, 1, -5, 9, 2, -6, 5, 3, 5]),
+                                   np.array([0.5, 0.25, 0.75, 1.5, 0.0, 3.0, 0.125])])
+    def test_split_is_correctly_rounded_on_exact_half_sums(self, a):
+        # dyadic coefficients with few bits make every half sum exact, so no
+        # pattern's sign is misread and the mean is rounded once
+        assert khinchin._split_mean(a) == float(exact_rademacher(a))
+
+    @pytest.mark.parametrize("n", range(17, 25))
+    def test_split_agrees_with_the_walk_above_16(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        for a in _oracle_vectors(rng, n):
+            split = rademacher_average(a).value
+            monkeypatch.setattr(khinchin, "_WALK_MAX_N", n)
+            walked = rademacher_average(a).value
+            monkeypatch.undo()
+            assert abs(split - walked) <= (SPLIT_ULPS + WALK_ULPS) * math.ulp(walked)
 
 
 class TestKhinchinRatio:
@@ -181,7 +273,7 @@ class TestKhinchinRatio:
 class TestEmAverage:
     def test_m2_equals_rademacher_exactly(self):
         rng = np.random.default_rng(5)
-        for n in (1, 2, 4, 7, 12):
+        for n in (1, 2, 4, 7, 12, 17, 20):
             c = rng.standard_normal(n)
             assert e_m_average(c, 2).value == rademacher_average(c).value
 

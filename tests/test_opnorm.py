@@ -549,6 +549,17 @@ class TestComplexNormBounds:
         assert big.lower == big.discrete_norm == math.ldexp(plain.lower, 600)
         assert big.upper == math.ldexp(plain.upper, 600)
 
+    @pytest.mark.parametrize("n", [1, 2, 4, 7])
+    def test_one_row_and_one_column_forms_are_not_refined_above_their_norm(self, n):
+        # the grid norm of a 1xN or Nx1 form is its norm sum |a_j|: the ascent
+        # used to raise the lower end above it by rounding alone
+        rng = np.random.default_rng(n)
+        for t in range(50):
+            row = rng.standard_normal((1, n)) + 1j * rng.standard_normal((1, n))
+            for entries in (row, row.T):
+                bounds = complex_norm_bounds(BilinearForm("complex", entries), 8, refine=True)
+                assert bounds.lower == bounds.discrete_norm
+
     def test_bounds_beyond_the_double_range_are_refused(self):
         form = BilinearForm("complex", [[1e308, 1e308], [1e308, -1e308]])
         with pytest.raises(ValueError, match="beyond the double range"):
@@ -576,9 +587,10 @@ def golden_section_ascent(entries, y):
     Same sweeps, grid, tie-breaking and acceptance as
     ``opnorm._coordinate_phase_ascent``, but each coordinate's bracket
     around the grid maximizer is narrowed by about 55 sequential
-    golden-section evaluations of the objective.
+    golden-section evaluations of the objective.  The walked side has at
+    least two columns, so at least as many rows.
     """
-    k, n = entries.shape
+    n = entries.shape[1]
     y = y.astype(np.complex128).copy()
     s = entries @ y
     value = float(np.abs(s).sum())
@@ -594,30 +606,23 @@ def golden_section_ascent(entries, y):
             def objective(theta):
                 return float(np.abs(c + aj * np.exp(1j * theta)).sum())
 
-            if k == 1:
-                if abs(aj[0]) == 0.0:
-                    continue
-                theta = math.atan2((c[0] * np.conj(aj[0])).imag,
-                                   (c[0] * np.conj(aj[0])).real)
-                theta = theta % (2.0 * math.pi)
-            else:
-                samples = np.abs(c[:, None] + aj[:, None] * phases[None, :]).sum(axis=0)
-                at = int(np.argmax(samples))
-                lo = grid[at] - 2.0 * np.pi / 64.0
-                hi = grid[at] + 2.0 * np.pi / 64.0
-                x1 = hi - invphi * (hi - lo)
-                x2 = lo + invphi * (hi - lo)
-                f1, f2 = objective(x1), objective(x2)
-                while hi - lo > opnorm._ASCENT_ANGLE_TOL:
-                    if f1 < f2:
-                        lo, x1, f1 = x1, x2, f2
-                        x2 = lo + invphi * (hi - lo)
-                        f2 = objective(x2)
-                    else:
-                        hi, x2, f2 = x2, x1, f1
-                        x1 = hi - invphi * (hi - lo)
-                        f1 = objective(x1)
-                theta = 0.5 * (lo + hi)
+            samples = np.abs(c[:, None] + aj[:, None] * phases[None, :]).sum(axis=0)
+            at = int(np.argmax(samples))
+            lo = grid[at] - 2.0 * np.pi / 64.0
+            hi = grid[at] + 2.0 * np.pi / 64.0
+            x1 = hi - invphi * (hi - lo)
+            x2 = lo + invphi * (hi - lo)
+            f1, f2 = objective(x1), objective(x2)
+            while hi - lo > opnorm._ASCENT_ANGLE_TOL:
+                if f1 < f2:
+                    lo, x1, f1 = x1, x2, f2
+                    x2 = lo + invphi * (hi - lo)
+                    f2 = objective(x2)
+                else:
+                    hi, x2, f2 = x2, x1, f1
+                    x1 = hi - invphi * (hi - lo)
+                    f1 = objective(x1)
+            theta = 0.5 * (lo + hi)
             candidate = objective(theta)
             if candidate > value:
                 y[j] = np.exp(1j * theta)
@@ -649,6 +654,10 @@ def test_refined_lower_matches_golden_section_oracle(block, monkeypatch):
         if t % 2:
             entries = entries + 1j * rng.standard_normal((k, n))
         bounds = complex_norm_bounds(BilinearForm("complex", entries), m, refine=True)
+        if k == 1:
+            # one walked coordinate: not refined, the grid norm is the norm
+            assert not oracle and bounds.lower == bounds.discrete_norm
+            continue
         expected = min(max(bounds.discrete_norm, oracle.pop()), bounds.upper)
         # the ascents stop at a relative gain of _ASCENT_REL_TOL per sweep
         assert bounds.lower >= expected * (1.0 - opnorm._ASCENT_REL_TOL), (k, n, m, t)

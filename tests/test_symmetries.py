@@ -14,6 +14,13 @@ real form must not exceed the complex upper end of the same entries.  A
 form that is not square and its transpose walk the same side, so their
 grid norms and refined intervals are bit-equal.
 
+A real Rademacher average above N = 16 meets in the middle: a sign flip
+of a coefficient other than the pinned last one permutes the half sums of
+its side, so the bits do not move.  Reordering the coefficients, or
+flipping any signs, moves each path's value within its stated bound of the
+exact mean (``tests/test_khinchin.py``: 1 ulp split, 4 ulp walked), so two
+such values agree within twice that.
+
 The example count comes from the loaded hypothesis profile (40 by
 default, 400 under ``--hypothesis-profile=symmetry-deep``; see
 ``conftest.py``).
@@ -31,7 +38,11 @@ from litt43 import (BilinearForm, complex_norm_bounds, complex_norm_discrete, e_
 SCALES = st.sampled_from([-600, -30, 30, 600])
 SEEDS = st.integers(0, 2 ** 32 - 1)
 ROWS = st.one_of(st.just(1), st.integers(1, 4))  # one-row forms walk a single coordinate
+SPLIT = st.integers(17, 24)  # real Rademacher lengths that meet in the middle
 EXAMPLES = settings(deadline=None)
+# ulps by which two orderings of one vector may differ: twice each path's
+# bound against the exact mean (SPLIT_ULPS and WALK_ULPS in test_khinchin.py)
+REORDER_ULPS = {"split": 2, "walk": 8}
 
 
 def _scaled(A, e):
@@ -41,6 +52,11 @@ def _scaled(A, e):
 def _coeffs(n, seed):
     rng = np.random.default_rng(seed)
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _real_coeffs(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal(n) * 10.0 ** rng.integers(-3, 4, n)
 
 
 @given(st.integers(1, 6), st.integers(1, 6), SCALES, SEEDS)
@@ -124,3 +140,23 @@ def test_wide_and_tall_forms_walk_the_same_side(rows, cols, e, seed):
         a, b = complex_norm_bounds(A, m, refine=True), complex_norm_bounds(transpose(A), m,
                                                                             refine=True)
         assert (a.discrete_norm, a.lower, a.upper) == (b.discrete_norm, b.lower, b.upper)
+
+
+@given(SPLIT, SEEDS, st.data())
+@EXAMPLES
+def test_split_average_ignores_signs_before_the_last(n, seed, data):
+    c = _real_coeffs(n, seed)
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n - 1, max_size=n - 1))
+    assert rademacher_average(c * (signs + [1.0])).value == rademacher_average(c).value
+
+
+@given(st.one_of(st.integers(1, 16), SPLIT), SEEDS, st.data())
+@EXAMPLES
+def test_rademacher_average_under_reordering_and_sign_flips(n, seed, data):
+    c = _real_coeffs(n, seed)
+    order = data.draw(st.permutations(range(n)))
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n, max_size=n))
+    value = rademacher_average(c).value
+    bound = REORDER_ULPS["split" if n > 16 else "walk"] * math.ulp(value)
+    for moved in (c[list(order)], c * signs):
+        assert abs(rademacher_average(moved).value - value) <= bound
