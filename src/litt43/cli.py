@@ -8,7 +8,9 @@ Subcommands:
 * ``norm``       - operator norm of a matrix JSON file (exact real /
                    certified complex interval)
 * ``khinchin``   - Rademacher / roots-of-unity / Steinhaus averages and
-                   ratio checks for a coefficient vector
+                   ratio checks for a coefficient vector; its ``method``
+                   field names the path an average took ("enumeration",
+                   "bessel", "quadrature" or "e_m-limit")
 * ``search``     - stochastic extremal search with checkpointing
 * ``verify``     - run the self-verification suites, emit a JSON report
 
@@ -406,7 +408,12 @@ def build_parser() -> argparse.ArgumentParser:
                    default="rademacher")
     p.add_argument("--M", type=int, default=0)
     p.add_argument("--r", default=None)
-    p.add_argument("--method", choices=("quadrature", "em-limit"), default="quadrature")
+    p.add_argument("--method", choices=("quadrature", "em-limit"), default="quadrature",
+                   help="steinhaus: 'quadrature' takes the cheaper of Kluyver's Bessel "
+                        "integral and the product rule at --Q nodes per angle, and the "
+                        "output's method field names it ('bessel', with a true "
+                        "error_bound, or 'quadrature', whose error_bound is an "
+                        "estimate); 'em-limit' takes T_M averages along --schedule")
     p.add_argument("--Q", type=int, default=256)
     p.add_argument("--schedule", default="64,128,256,512")
     p.set_defaults(func=_cmd_khinchin)

@@ -12,12 +12,15 @@ Three averages of |sum_n a_n s_n| are computed for a coefficient vector
   the exact mean over Omega_M^N.  M = 2 reproduces the Rademacher average
   through the identical computation.
 * Steinhaus: s_n uniform on the whole unit circle, i.e. the N-fold torus
-  integral of |sum a_n e^(i t_n)|.  Evaluated either by quadrature, where
-  the first angle is integrated exactly (a complete elliptic integral,
-  computed by the arithmetic-geometric mean) and the product trapezoid
-  rule takes the N - 2 angles after it, or as a root-of-unity limit along
-  an increasing schedule of M.  The exact inner integral means the
-  quadrature is no longer the T_Q mean; N = 2 is exact.
+  integral of |sum a_n e^(i t_n)|.  Evaluated either by quadrature or as
+  a root-of-unity limit along an increasing schedule of M.  Quadrature
+  takes, vector by vector, the cheaper of two paths.  Kluyver's formula
+  E|sum a_n z_n| = int_0^oo (1 - prod_n J0(|a_n| s)) s^-2 ds costs
+  N J0 values per node, with a true error bound (``_bessel_means``).
+  The product rule integrates the first angle exactly (a complete
+  elliptic integral, computed by the arithmetic-geometric mean) and
+  takes the N - 2 angles after it on Omega_Q, so it costs Q^(N-2)
+  nodes; N = 2 is exact, and its bound for N >= 3 is an estimate.
 
 Every average pins one multiplier (rotation invariance makes this
 exact).  An enumeration runs the pattern walk of ``litt43.opnorm`` and
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -59,11 +63,9 @@ __all__ = [
     "blei_bound_check",
     "ceiling",
     "RADEMACHER_CAP",
-    "QUADRATURE_DIM_CAP",
 ]
 
 RADEMACHER_CAP = 40
-QUADRATURE_DIM_CAP = 8
 
 # Complex Rademacher averages walk 2^(N-1) patterns: refused above this N
 # even when `cap` is larger.
@@ -81,13 +83,33 @@ _TABLE_CAP = 1 << 20  # patterns per tabulated block of the walk
 # 154 / 137 / 117 / 199 / 249 ms at 2^20 / 2^18 / 2^16 / 2^14 / 2^12).
 _AGM_TABLE_CAP = 1 << 16
 # The work of one AGM node in table elements, by which the walk prices a
-# quadrature stack and the climber a Steinhaus evaluation: on tables of 2^12
+# quadrature stack, the climber a Steinhaus evaluation and _steinhaus_means
+# the product rule against Kluyver's integral: on tables of 2^12
 # elements (batches of 1 and 16; 2-core Xeon, numpy 2.4.6) a node took
 # 52-53 ns against 7.3-8.8 ns per term of the sign walk.
 _AGM_NODE_COST = 6
 # AGM passes: at the smallest relative gap two doubles can have,
 # |a - rho| / (a + rho) >= 2^-54, nine reach the limit; the tenth is margin.
 _AGM_PASSES = 10
+# Kluyver's Bessel integral (_bessel_means) stops where the bound on the rest
+# of the integral falls to this, relative to the row's largest modulus, which
+# is itself a lower bound on the average (E|x + a z| >= |a|).
+_BESSEL_TOL = 1e-10
+# |_j0(x) - J0(x)| stays below this: a 60-digit Taylor series measures at
+# most 4.2e-16 on 4,400 points of [0, 40] (the tests take 445 of them).
+# Every Bessel bound carries it.
+_J0_ERROR = 1e-15
+# The work of one J0 value in table elements, at the price of _AGM_NODE_COST:
+# a J0 value took 85-96 ns on chunks of 2^12 and 2^15 values of [0, 200],
+# against 36 ns per AGM node on 2^12 (2-core Xeon, numpy 2.4.6, one process).
+_J0_COST = 15
+# J0 values per chunk of the integral, which bounds its working memory.
+_BESSEL_CHUNK = 1 << 15
+# J0 by Miller's backward recurrence from this (even) order for 2 <= x < 20,
+# by Hankel's expansion, _HANKEL_TERMS terms of each series, from x = 20.
+_MILLER_START = 56
+_HANKEL_FROM = 20.0
+_HANKEL_TERMS = 12
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +153,7 @@ def _values(c: Coefficients) -> np.ndarray:
 class AverageResult:
     value: float
     kind: str            # "rademacher" | "e_m" | "steinhaus"
-    method: str          # "enumeration" | "quadrature" | "e_m-limit"
+    method: str          # "enumeration" | "bessel" | "quadrature" | "e_m-limit"
     error_bound: Optional[float] = None
     m: Optional[int] = None
 
@@ -173,21 +195,32 @@ def _mean_abs(A: np.ndarray, m: int, budget: Optional[int] = None) -> np.ndarray
     The last multiplier is pinned to 1 (exact by rotation invariance), so
     the walk sums M^(N-1) terms per row, which is what ``budget`` counts.
     At M = 2, real rows longer than _WALK_MAX_N meet in the middle
-    (``_split_mean``), one row at a time, under the same budget: the path
-    depends on N and the dtype alone, never on the batch.  Entries near the
-    top of the double range are walked at a power-of-two scale
-    (``opnorm._overflow_safe``); a mean is inf only beyond the double range.
+    (``_split_mean``), one row at a time, and ``budget`` counts the half
+    sums of both sides: the path depends on N and the dtype alone, never
+    on the batch.  Entries near the top of the double range are walked at
+    a power-of-two scale (``opnorm._overflow_safe``); a mean is inf only
+    beyond the double range.
     """
     n = A.shape[-1]
     terms = m ** (n - 1)
-    if budget is not None and terms > budget:
+    split = m == 2 and n > _WALK_MAX_N and not np.iscomplexobj(A)
+    if split:
+        half = (n - 1) // 2
+        work, needs = (1 << half) + (1 << (n - 1 - half)), f"2^{half} + 2^{n - 1 - half} half sums"
+    else:
+        work, needs = terms, f"{terms} terms"
+    if budget is not None and split and n > RADEMACHER_CAP:
+        # its half sums are held whole: RADEMACHER_CAP bounds their memory
+        raise CapacityError(f"Omega_2^{n} averaging meets in the middle over {needs}, "
+                            f"which stops at N = {RADEMACHER_CAP}")
+    if budget is not None and work > budget:
         raise CapacityError(
-            f"Omega_{m}^{n} averaging needs {terms} terms (after fixing the "
+            f"Omega_{m}^{n} averaging needs {needs} (after fixing the "
             f"global phase) but the budget is {budget}"
         )
 
     def means(A):
-        if m == 2 and n > _WALK_MAX_N and not np.iscomplexobj(A):
+        if split:
             return np.array([_split_mean(a) for a in A])
         sums = _walk(A[..., -1:], A[..., None, :-1], m, _TABLE_CAP, _block_sum)
         # fsum of a single block sum is that sum, bit for bit
@@ -390,8 +423,6 @@ def _quadrature(A: np.ndarray, q: int, budget: int = DEFAULT_EVAL_BUDGET):
     strided slice, over the blocks whose high digits are all even.
     """
     n = A.shape[-1]
-    if n > QUADRATURE_DIM_CAP:
-        raise CapacityError(f"quadrature supports N <= {QUADRATURE_DIM_CAP}, got N = {n}")
     q = _as_integer(q, "Q", 4, even=True)
     terms = q ** max(n - 2, 0)
     if terms > budget:
@@ -443,19 +474,291 @@ def _quadrature(A: np.ndarray, q: int, budget: int = DEFAULT_EVAL_BUDGET):
     return top * (4.0 * fine - coarse) / 3.0, top * np.abs(fine - coarse)
 
 
+def _hankel_series(terms: int):
+    """The coefficients of P and Q, in powers of 1/x^2, in Hankel's
+    J0(x) = sqrt(2/(pi x)) (P cos(x - pi/4) - Q sin(x - pi/4)), Q's after
+    one factor 1/x: (-1)^k a_2k and (-1)^(k+1) a_(2k+1), exactly rounded
+    from a_k = prod_(j <= k) (2j - 1)^2 / (k! 8^k)."""
+    a, coeffs = Fraction(1), []
+    for k in range(2 * terms):
+        coeffs.append(a)
+        a *= Fraction((2 * k + 1) ** 2, 8 * (k + 1))
+    return ([float((-1) ** k * coeffs[2 * k]) for k in range(terms)],
+            [float((-1) ** (k + 1) * coeffs[2 * k + 1]) for k in range(terms)])
+
+
+_HANKEL_P, _HANKEL_Q = _hankel_series(_HANKEL_TERMS)
+
+
+def _j0_complement(x: np.ndarray) -> np.ndarray:
+    """1 - J0(x) for 0 <= x < 2, to a few ulps relative: the Taylor series
+    sum_(k >= 1) (-1)^(k+1) t^k / (k!)^2, t = x^2 / 4 <= 1, to k = 13."""
+    t = 0.25 * x * x
+    acc = np.ones_like(t)
+    for k in range(13, 1, -1):
+        acc *= t / (k * k)
+        np.subtract(1.0, acc, out=acc)
+    acc *= t
+    return acc
+
+
+def _j0_miller(x: np.ndarray) -> np.ndarray:
+    """J0(x) for 2 <= x < _HANKEL_FROM by Miller's backward recurrence
+    J_(k-1) = (2k / x) J_k - J_(k+1) from J_57 = 0, J_56 = 1, normalized by
+    J_0 + 2 sum_k J_2k = 1 (Abramowitz & Stegun 9.1.27 and 9.1.46)."""
+    step = 2.0 / x
+    upper, j, lower = np.zeros_like(x), np.ones_like(x), np.empty_like(x)
+    even = np.ones_like(x)  # J_56
+    for k in range(_MILLER_START, 0, -1):
+        np.multiply(step, k, out=lower)
+        lower *= j
+        lower -= upper
+        upper, j, lower = j, lower, upper
+        if k % 2 and k > 1:  # j is J_(k-1), of even order
+            even += j
+    even *= 2.0
+    even += j
+    return np.divide(j, even, out=even)
+
+
+def _j0_hankel(x: np.ndarray) -> np.ndarray:
+    """J0(x) for x >= _HANKEL_FROM by Hankel's expansion (Abramowitz & Stegun
+    9.2.5, 9.2.9 and 9.2.10); at x = 20 the first term left out is 2.9e-17,
+    before the factor sqrt(2 / (pi x)) = 0.18."""
+    y = 1.0 / (x * x)
+    p, q = np.full_like(x, _HANKEL_P[-1]), np.full_like(x, _HANKEL_Q[-1])
+    for cp, cq in zip(_HANKEL_P[-2::-1], _HANKEL_Q[-2::-1]):
+        p *= y
+        p += cp
+        q *= y
+        q += cq
+    q /= x
+    c, s = np.cos(x), np.sin(x)
+    # cos(x - pi/4) = (c + s) / sqrt 2 and sin(x - pi/4) = (s - c) / sqrt 2
+    p *= c + s
+    q *= s - c
+    p -= q
+    return np.multiply(np.sqrt((1.0 / math.pi) / x), p, out=p)
+
+
+def _j0(x: np.ndarray) -> np.ndarray:
+    """The Bessel function J0 of a flat array x >= 0, to _J0_ERROR absolute.
+
+    Each element's bits depend on its own x alone: the three ranges
+    are fixed, not chosen from the array.
+    """
+    out = np.empty_like(x)
+    near, far = x < 2.0, x >= _HANKEL_FROM
+    middle = ~(near | far)
+    out[near] = 1.0 - _j0_complement(x[near])
+    out[middle] = _j0_miller(x[middle])
+    out[far] = _j0_hankel(x[far])
+    return out
+
+
+def _tail_terms(U: np.ndarray):
+    """log b_k, log C_k and p_k of the tail bound, for the rows of U (B, N)
+    sorted in descending order: b_k = 2 / (pi u_k), C_k = prod_(j <= k) sqrt(b_j),
+    p_k = k / 2 + 1.  A zero modulus gives b = inf."""
+    with np.errstate(divide="ignore"):
+        log_b = math.log(2.0 / math.pi) - np.log(U)
+    p = np.arange(1, U.shape[-1] + 1) / 2.0 + 1.0
+    return log_b, np.cumsum(0.5 * log_b, axis=-1), p
+
+
+def _tail_bound(U: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    """A bound on |int_S^oo phi(s) s^-2 ds| at S = ``ends``, for each row of U.
+
+    phi(s) = prod_n J0(u_n s), and |J0(x)| <= min(1, sqrt(2 / (pi x))),
+    since x (J0^2 + Y0^2) increases to 2/pi (Watson, *Treatise*, 13.74).
+    So for S >= b_k, phi is at most C_k s^(-k/2) on [S, oo), whose integral
+    against s^-2 is C_k S^-p_k / p_k; the bound is the least over k.  The
+    factor 1 + 1e-12 covers the rounding of the logarithms.
+    """
+    log_b, log_c, p = _tail_terms(U)
+    log_s = np.log(ends)[:, None]
+    with np.errstate(over="ignore"):  # an unused k whose C_k leaves the double range
+        bounds = np.where(log_b <= log_s, np.exp(log_c - p * log_s) / p, np.inf)
+    return bounds.min(axis=-1) * (1.0 + 1e-12)
+
+
+def _bessel_plan(U: np.ndarray):
+    """(step, nodes) of Kluyver's integral for each row of U (B, N), moduli
+    in [0, 1] sorted in descending order, the first 1 (or a zero row).
+
+    The step is 2 pi / sum_n u_n less one part in 2^20; ``nodes`` is the
+    count of positive nodes, enough that ``_tail_bound`` at the last is
+    at most _BESSEL_TOL (some k has C_k S^-p_k / p_k = _BESSEL_TOL at
+    S >= b_k); 0 for a zero row.  Cheap: O(N) per row, no J0 value.
+    """
+    tau = np.array([math.fsum(row) for row in U.tolist()])
+    log_b, log_c, p = _tail_terms(U)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = 2.0 * math.pi / (tau * (1.0 + 2.0 ** -20))
+        ends = np.exp(np.maximum(log_b, (log_c - np.log(p * _BESSEL_TOL)) / p).min(axis=-1))
+        nodes = np.ceil(ends / step)
+    return step, np.where(tau > 0.0, nodes, 0.0)
+
+
+def _inverse_square_tail(k: int) -> float:
+    """sum_(j > k) 1 / j^2, the trigamma function at k + 1: terms to j = 19,
+    then the asymptotic series, whose first omitted term is below 1e-16 relative."""
+    total, j = 0.0, k + 1
+    while j < 20:
+        total += 1.0 / (j * j)
+        j += 1
+    y = 1.0 / j
+    y2 = y * y
+    return total + y + y2 * (0.5 + y * (1 / 6 - y2 * (1 / 30 - y2 * (
+        1 / 42 - y2 * (1 / 30 - y2 * (5 / 66))))))
+
+
+def _kluyver_integrand(u: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """(1 - prod_n J0(u_n s)) / s^2 at the nodes s > 0, u (N, len(s)) the
+    moduli of each node's row.  Below s = 2 every u_n s is below 2, and
+    1 - phi = -expm1(sum_n log1p(-(1 - J0(u_n s)))) keeps its relative
+    accuracy where phi is near 1.  The sum and the product run over n in
+    order, one vector operation per coefficient, so each node's bits
+    depend on its own u and s alone."""
+    n = len(u)
+    x = u * s
+    g = np.empty(len(s))
+    near = s < 2.0
+    if near.any():
+        logs = np.log1p(-_j0_complement(x[:, near]))
+        for row in logs[1:]:
+            logs[0] += row
+        g[near] = -np.expm1(logs[0])
+    if not near.all():
+        factors = _j0(x[:, ~near].ravel()).reshape(n, -1)
+        for row in factors[1:]:
+            factors[0] *= row
+        g[~near] = 1.0 - factors[0]
+    return g / (s * s)
+
+
+def _bessel_means(U: np.ndarray, step: np.ndarray, nodes: np.ndarray):
+    """(value, error_bound) of Kluyver's integral for each row of U, as planned by
+    ``_bessel_plan``: E|sum_n u_n z_n| = int_0^oo (1 - phi(s)) s^-2 ds,
+    phi(s) = prod_n J0(u_n s) (Kluyver, Proc. KNAW 8, 1906; Borwein,
+    Straub, Wan & Zudilin, Canad. J. Math. 64, 2012).
+
+    The integrand f is even and entire, and |J0(z)| <= e^|Im z| makes it
+    of exponential type tau = sum_n u_n, so its Fourier transform vanishes
+    outside [-tau, tau].  By Poisson summation the trapezoid rule with a
+    step h < 2 pi / tau is then exact on the whole line: the integral is
+    h (f(0) / 2 + sum_(k >= 1) f(kh)), f(0) = sum_n u_n^2 / 4.  The sum
+    stops at k = K; of the rest, the 1 / s^2 part is sum_(k > K) 1 / (k^2 h)
+    in closed form and the phi part is bounded by ``_tail_bound`` at Kh.
+    The bound adds the rounding: _J0_ERROR and 2 ulps per factor of phi at
+    the nodes s >= 2, weighted by at most 1/2 + h/4 in all, a relative
+    (2N + 16) ulps for the rest and one ulp per piece of the sum.
+
+    A row's nodes are cut into pieces of _BESSEL_CHUNK // N, counted from
+    its first node; pieces of several rows share one chunk of J0 values,
+    and each piece is summed by fsum, so memory stays bounded and a row's
+    bits depend on its own moduli alone.
+    """
+    rows, n = U.shape
+    counts = nodes.astype(np.int64)
+    width = max(1, _BESSEL_CHUNK // n)
+    pieces = [(i, lo, min(lo + width, counts[i]))
+              for i in range(rows) for lo in range(0, counts[i], width)]
+    sums = [[] for _ in range(rows)]
+    first = 0
+    while first < len(pieces):
+        last, size = first, 0
+        while last < len(pieces) and size + pieces[last][2] - pieces[last][1] <= width:
+            size += pieces[last][2] - pieces[last][1]
+            last += 1
+        chunk, first = pieces[first:last], last
+        which = np.concatenate([np.full(hi - lo, i) for i, lo, hi in chunk])
+        s = np.concatenate([np.arange(lo + 1, hi + 1) * step[i] for i, lo, hi in chunk])
+        f = _kluyver_integrand(U.T[:, which], s).tolist()
+        at = 0
+        for i, lo, hi in chunk:
+            sums[i].append(math.fsum(f[at:at + hi - lo]))
+            at += hi - lo
+    values, bounds = np.zeros(rows), np.zeros(rows)
+    eps = np.finfo(float).eps
+    for i in np.flatnonzero(counts):
+        h = float(step[i])
+        f0 = 0.25 * math.fsum((U[i] * U[i]).tolist())
+        values[i] = (h * (0.5 * f0 + math.fsum(sums[i]))
+                     + _inverse_square_tail(int(counts[i])) / h)
+        bounds[i] = (n * (_J0_ERROR + 2.0 * eps) * (0.5 + 0.25 * h)
+                     + (2 * n + 16 + len(sums[i])) * eps * values[i])
+    live = counts > 0
+    bounds[live] += _tail_bound(U[live], counts[live] * step[live])
+    return values, bounds
+
+
+def _steinhaus_means(A: np.ndarray, q: int, budget: int = DEFAULT_EVAL_BUDGET):
+    """(value, error_bound, bessel) of the Steinhaus average of each row of A (B, N).
+
+    Each row takes the cheaper of two paths, priced in table elements: the
+    product rule of ``_quadrature`` at q^(N-2) terms of _AGM_NODE_COST,
+    and Kluyver's integral (``_bessel_means``) at N J0 values per node, of
+    _J0_COST.  ``budget`` counts the terms of the path taken (q^(N-2), or
+    N x nodes); a path beyond it is not taken, and a row with both beyond
+    it is refused.  Rows with N <= 3 keep the product rule, whose cost
+    there is a few hundred nodes against thousands, and so do rows that
+    one coefficient dominates, whose phi decays like s^-1/2 (the price
+    decides).  ``bessel`` marks the rows that took Kluyver's path.  The
+    moduli are sorted and divided by the largest, so a row's value depends
+    on the multiset of its moduli alone, and scales exactly by 2^e.
+    """
+    q = _as_integer(q, "Q", 4, even=True)
+    rows, n = A.shape
+    product_terms = q ** max(n - 2, 0)
+    bessel = np.zeros(rows, dtype=bool)
+    if n > 3:
+        # subnormal rows are scaled by 2^600 first, exactly, as in _quadrature
+        scale = np.where(np.abs(A).max(axis=-1) < 2.0 ** -900, 2.0 ** 600, 1.0)
+        mods = np.abs(A * scale[:, None])
+        unit = mods.max(axis=-1)
+        unit[unit == 0.0] = 1.0
+        U = np.sort(mods / unit[:, None], axis=-1)[:, ::-1]
+        step, nodes = _bessel_plan(U)
+        bessel_terms = n * nodes
+        product_price = _AGM_NODE_COST * float(min(product_terms, 1 << 1000))
+        bessel = (bessel_terms <= budget) & (
+            (_J0_COST * bessel_terms < product_price) | (product_terms > budget))
+        if product_terms > budget and not bessel.all():
+            terms = product_terms if product_terms < 10 ** 15 else f"{q}^{n - 2}"
+            raise CapacityError(
+                f"Steinhaus average at N = {n}, Q = {q}: the product rule needs "
+                f"{terms} terms and Kluyver's Bessel integral "
+                f"{bessel_terms[~bessel].min():.0f} J0 values, but the budget is {budget}")
+    values, bounds = np.empty(rows), np.empty(rows)
+    if not bessel.all():
+        values[~bessel], bounds[~bessel] = _quadrature(A[~bessel], q, budget)
+    if bessel.any():
+        v, b = _bessel_means(U[bessel], step[bessel], nodes[bessel])
+        back = unit[bessel] / scale[bessel]
+        values[bessel], bounds[bessel] = back * v, back * b
+    return values, bounds, bessel
+
+
 def steinhaus_expectation(c: Coefficients, method: str = "quadrature",
                           q: int = 256, schedule: Optional[Sequence[int]] = None,
                           budget: int = DEFAULT_EVAL_BUDGET) -> AverageResult:
     """Torus expectation of |sum a_n e^(i t_n)|.
 
-    quadrature: the last angle is pinned, the first is integrated in
-    closed form (AGM) and the N - 2 angles between take the product
-    trapezoid rule with q nodes each (q an even integer >= 4), q^(N-2)
-    terms, which is what ``budget`` counts.  The reported value is the
-    Richardson extrapolation of the q and q/2 levels, which restores fast
-    convergence on the kinked integrand, and the error bound is the
-    two-level difference |T(q) - T(q/2)|.  For N <= 2 no angle is left to
-    the rule: the value is exact and the bound 0.
+    quadrature: the cheaper of two paths (``_steinhaus_means``), named
+    by the result's ``method``.  "bessel": Kluyver's Bessel integral, N
+    J0 values per node, whose ``error_bound`` is a true bound, at most
+    about 1e-10 of the largest modulus.  "quadrature": the product rule;
+    the last angle is pinned, the first is integrated in closed form
+    (AGM) and the N - 2 angles between take the product trapezoid rule
+    with q nodes each (q an even integer >= 4), q^(N-2) terms.  Its
+    value is the Richardson extrapolation of the q and q/2 levels, which
+    restores fast convergence on the kinked integrand, and its error
+    bound the two-level difference |T(q) - T(q/2)|, an estimate.  For
+    N <= 2 no angle is left to the rule: the value is exact and the
+    bound 0; N <= 3 always takes the product rule.  ``budget`` counts
+    the terms of the path taken; a vector that both paths would take
+    beyond it is refused.
 
     e_m_limit: exact T_M averages along an increasing ``schedule`` of at
     least two integers M >= 2; the value is taken at the largest M with
@@ -463,8 +766,10 @@ def steinhaus_expectation(c: Coefficients, method: str = "quadrature",
     """
     a = _values(c)
     if method == "quadrature":
-        value, error = _quadrature(a[None], q, budget)
-        return AverageResult(value=float(value[0]), kind="steinhaus", method="quadrature",
+        with np.errstate(over="ignore"):  # an average beyond the double range is refused
+            value, error, bessel = _steinhaus_means(a[None], q, budget)
+        return AverageResult(value=_finite(float(value[0]), "the average"), kind="steinhaus",
+                             method="bessel" if bessel[0] else "quadrature",
                              error_bound=float(error[0]))
     if method == "e_m_limit":
         if schedule is None or len(schedule) < 2:

@@ -73,8 +73,8 @@ from .exponents import (CEILING_SLACK, Exponent, ExponentPair, _as_exponent, _as
                         complex_constant_bounds, real_constant)
 from .forms import BilinearForm, _mixed_norms, form_from_json, form_to_json, mixed_norm
 from .jsonio import canonical_dumps, loads, require_field
-from .khinchin import (_AGM_NODE_COST, CoefficientVector, _lr_norms, _mean_abs, _quadrature,
-                       _rademacher_means, ceiling)
+from .khinchin import (_AGM_NODE_COST, CoefficientVector, _lr_norms, _mean_abs,
+                       _rademacher_means, _steinhaus_means, ceiling)
 from .opnorm import (DEFAULT_EVAL_BUDGET, _grid_norms, _real_norms, complex_norm_bounds,
                      r_m, real_sup_norm)
 
@@ -256,8 +256,10 @@ class _KhinchinObjective(_Objective):
     def cost(self, shape) -> int:
         """Table elements one evaluation builds, or their equal in work.
 
-        A Steinhaus evaluation walks q^(N-2) nodes, and each node's AGM is
-        priced at _AGM_NODE_COST table elements.
+        A Steinhaus evaluation is priced as the product rule's q^(N-2) nodes
+        of _AGM_NODE_COST table elements each.  ``_steinhaus_means`` takes
+        Kluyver's path only where that costs less, so the price bounds
+        either path and windows do not depend on the rows drawn.
         """
         n = shape[-1]
         if self.model == "steinhaus":
@@ -274,7 +276,7 @@ class _KhinchinObjective(_Objective):
             return _rademacher_means(X)
         if self.model == "e_m":
             return _mean_abs(X, self.m, DEFAULT_EVAL_BUDGET)
-        return _quadrature(X, self.q)[0]
+        return _steinhaus_means(X, self.q)[0]
 
     def ratios(self, X) -> np.ndarray:
         numerators, averages = _lr_norms(X, self.r), self._averages(X)

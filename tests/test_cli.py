@@ -196,6 +196,21 @@ class TestKhinchinCommand:
         doc = json.loads(out)
         assert doc["value"] == pytest.approx(4.0 / math.pi, abs=1e-8)
 
+    def test_steinhaus_names_the_bessel_path(self, capsys):
+        code, out, _ = run(capsys, "khinchin", "--coeffs", ",".join(["1"] * 12),
+                           "--model", "steinhaus", "--Q", "64")
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["method"], doc["n"]) == ("bessel", 12)
+        assert 0.0 < doc["error_bound"] <= 1.01e-10
+
+    def test_steinhaus_beyond_both_paths_exits_four(self, capsys):
+        # one coefficient dominates 300: 256^298 nodes, or about 1.5e8 J0 values
+        code, _, err = run(capsys, "khinchin", "--coeffs", ",".join(["1"] + ["1e-12"] * 299),
+                           "--model", "steinhaus")
+        assert code == 4
+        assert "256^298 terms and Kluyver's Bessel integral" in err
+
     def test_em_average(self, capsys):
         code, out, _ = run(capsys, "khinchin", "--coeffs", "1,1",
                            "--model", "em", "--M", "4")

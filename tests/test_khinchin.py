@@ -1,3 +1,4 @@
+import decimal
 import itertools
 import math
 from fractions import Fraction
@@ -93,6 +94,39 @@ def naive_quadrature(coeffs, q):
         levels.append(float(khinchin._circle_means(abs(a), np.array(rhos)).mean()))
     fine, coarse = levels
     return (4.0 * fine - coarse) / 3.0, abs(fine - coarse)
+
+
+def decimal_j0_complement(x, digits=60):
+    """1 - J0(x) by the Taylor series -sum_(k >= 1) (-x^2/4)^k / (k!)^2 in
+    60-digit decimal arithmetic, as a Decimal; the test oracle of the J0
+    kernel.  At x = 40 the largest term is about 1e15, so over 40 digits
+    survive the cancellation."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        t = -(decimal.Decimal(float(x)) / 2) ** 2
+        term, total, k = decimal.Decimal(1), decimal.Decimal(0), 0
+        while k <= abs(t) or abs(term) > decimal.Decimal(10) ** -45 * abs(total):
+            k += 1
+            term = term * t / (k * k)
+            total -= term
+        return total
+
+
+def decimal_j0(x):
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return 1 - decimal_j0_complement(x)
+
+
+# W3 = E|z_1 + z_2 + z_3| over three independent uniform unit complex numbers,
+# in closed form (Borwein, Straub, Wan & Zudilin, Canad. J. Math. 64, 2012)
+W3 = (3 / 16 * 2 ** (1 / 3) * math.gamma(1 / 3) ** 6
+      + 27 / 4 * 2 ** (2 / 3) * math.gamma(2 / 3) ** 6) / math.pi ** 4
+
+
+def bessel_rows(U):
+    """Kluyver's integral of the unit moduli U (B, N), sorted in descending order."""
+    return khinchin._bessel_means(U, *khinchin._bessel_plan(U))
 
 
 def naive_e_m(coeffs, m):
@@ -297,6 +331,17 @@ class TestEmAverage:
         with pytest.raises(CapacityError, match="budget"):
             e_m_average(np.ones(9), 16, budget=10**6)
 
+    def test_budget_counts_the_half_sums_met_in_the_middle(self):
+        # 2^27 sign patterns exceed the default budget, 2^13 + 2^14 half sums do not
+        assert e_m_average(np.ones(28), 2).value == rademacher_average(np.ones(28)).value
+        with pytest.raises(CapacityError, match=r"2\^13 \+ 2\^14 half sums .* budget is 24575"):
+            e_m_average(np.ones(28), 2, budget=(1 << 13) + (1 << 14) - 1)
+        # past RADEMACHER_CAP the half sums' memory, not the budget, refuses it
+        with pytest.raises(CapacityError, match="stops at N = 40"):
+            e_m_average(np.ones(41), 2)
+        with pytest.raises(CapacityError, match="134217728 terms"):
+            e_m_average(np.ones(28) + 0j, 2)  # complex vectors walk every pattern
+
     def test_homogeneity(self):
         rng = np.random.default_rng(9)
         c = rng.standard_normal(3) + 1j * rng.standard_normal(3)
@@ -475,10 +520,6 @@ class TestSteinhausExpectation:
         with pytest.raises(ValueError):
             steinhaus_expectation([1.0, 1.0], q=255)
 
-    def test_dimension_cap(self):
-        with pytest.raises(CapacityError, match="N <= 8"):
-            steinhaus_expectation(np.ones(9), q=16)
-
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             steinhaus_expectation([1.0, 1.0], method="e_m_limit", schedule=[64])
@@ -556,6 +597,12 @@ class TestRangeEdges:
         assert e_m_average([1e308, 1e308], 2).value == 1e308
         # |1 + 1| + |1 + w| + |1 + w^2| = 4 over T_3
         assert e_m_average([1e308, 1e308], 3).value == pytest.approx(4 / 3 * 1e308, rel=4 * EPS)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n, q", [(4, 8), (6, 16)])  # the product rule, Kluyver's path
+    def test_steinhaus_average_beyond_the_double_range_is_refused(self, n, q):
+        with pytest.raises(ValueError, match="beyond the double range"):
+            steinhaus_expectation([1e308] * n, q=q)
 
     def test_average_beyond_the_double_range_is_refused(self):
         # (4.5e308 + 3 * 1.5e308) / 4 patterns with the last sign pinned
@@ -644,10 +691,155 @@ class TestQuadratureOracles:
             assert (value, bound) == (alone[0][0], alone[1][0])
 
     def test_budget_counts_walked_nodes(self):
-        # q^(N-2) terms: 16^4 at N = 6
-        assert steinhaus_expectation(np.ones(6), q=16, budget=16 ** 4).error_bound >= 0.0
-        with pytest.raises(CapacityError, match="65536 terms"):
-            steinhaus_expectation(np.ones(6), q=16, budget=16 ** 4 - 1)
+        # q^(N-2) terms: 16^4 at N = 6, for a row that one coefficient
+        # dominates, whose Bessel integral needs far more J0 values
+        c = [1.0] + [1e-6] * 5
+        result = steinhaus_expectation(c, q=16, budget=16 ** 4)
+        assert result.method == "quadrature" and result.error_bound >= 0.0
+        with pytest.raises(CapacityError, match="65536 terms and Kluyver's Bessel integral"):
+            steinhaus_expectation(c, q=16, budget=16 ** 4 - 1)
+
+
+class TestBesselKernel:
+    """khinchin._j0 and its pieces against a 60-digit Taylor series."""
+
+    GRID = np.concatenate([np.linspace(0.0, 40.0, 401),
+                           np.nextafter([2.0, 20.0], 0.0), [2.0, 20.0],
+                           np.random.default_rng(5).uniform(0.0, 40.0, 40)])
+
+    def test_j0_matches_the_decimal_series(self):
+        got = khinchin._j0(self.GRID)
+        errors = [abs(decimal.Decimal(float(v)) - decimal_j0(x)) for v, x in zip(got, self.GRID)]
+        assert float(max(errors)) <= khinchin._J0_ERROR
+
+    def test_complement_keeps_its_relative_accuracy(self):
+        # 1 - J0(x) below x = 2, where phi is near 1 and 1 - phi needs it
+        x = np.concatenate([[1e-150, 1e-100, 1e-8, 1e-3], np.linspace(0.01, 2.0, 200)[:-1]])
+        got = khinchin._j0_complement(x)
+        for v, xi in zip(got, x):
+            exact = decimal_j0_complement(xi)
+            assert abs(decimal.Decimal(float(v)) - exact) <= decimal.Decimal(4 * EPS) * exact
+
+    def test_envelope_bound(self):
+        # |J0(x)| <= min(1, sqrt(2 / (pi x))), which bounds the integral's tail
+        for x in self.GRID[self.GRID > 0.0]:
+            assert abs(float(decimal_j0(x))) <= min(1.0, math.sqrt(2.0 / (math.pi * x)))
+        far = np.linspace(40.0, 1e4, 100001)
+        assert np.all(np.abs(khinchin._j0(far))
+                      <= np.sqrt(2.0 / (math.pi * far)) + khinchin._J0_ERROR)
+
+    def test_inverse_square_tail(self):
+        for k in (0, 1, 5, 19, 20, 100, 10 ** 6):
+            # terms to J, then the rest 1/J - 1/(2 J^2) + 1/(6 J^3), off by about 1/(30 J^5)
+            last = k + 4000
+            want = math.fsum([1.0 / (j * j) for j in range(k + 1, last + 1)]
+                             + [1.0 / last, -0.5 / last ** 2, 1.0 / (6.0 * last ** 3)])
+            assert khinchin._inverse_square_tail(k) == pytest.approx(want, rel=1e-14)
+        assert khinchin._inverse_square_tail(0) == pytest.approx(math.pi ** 2 / 6, rel=4 * EPS)
+
+
+class TestBesselIntegral:
+    """Kluyver's integral: values within their reported bounds of independent ones."""
+
+    def test_w3_closed_form(self):
+        value, bound = bessel_rows(np.ones((1, 3)))
+        assert 0.0 < bound[0] <= 1.01 * khinchin._BESSEL_TOL
+        assert abs(value[0] - W3) <= bound[0] + 4 * EPS * W3
+
+    def test_w2_closed_form(self):
+        value, bound = bessel_rows(np.ones((1, 2)))
+        assert abs(value[0] - FOUR_OVER_PI) <= bound[0] + 4 * EPS
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_product_rule_at_q_1024(self, seed):
+        rng = np.random.default_rng([4, seed])
+        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        result = steinhaus_expectation(c, q=1024)
+        assert result.method == "bessel"
+        values, bounds = khinchin._quadrature(c[None], 1024)
+        assert abs(result.value - values[0]) <= result.error_bound + bounds[0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_matches_the_root_of_unity_limit(self, seed):
+        # e_m_limit's |E_M - E_(M/2)| is an estimate, not a bound: T_M
+        # averages approach the torus mean with oscillating sign, and at
+        # [64, 128] it understated the distance to the Bessel value up to
+        # 2.4-fold on 30 random N = 4 vectors, so it is taken 4-fold here
+        rng = np.random.default_rng([5, seed])
+        c = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        result = steinhaus_expectation(c, q=1024)
+        limit = steinhaus_expectation(c, method="e_m_limit", schedule=[64, 128])
+        assert result.method == "bessel"
+        assert abs(result.value - limit.value) <= result.error_bound + 4 * limit.error_bound
+
+    def test_bound_is_a_small_share_of_the_largest_modulus(self):
+        rng = np.random.default_rng(7)
+        for n in (4, 6, 12, 40):
+            c = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 1e3
+            result = steinhaus_expectation(c, q=1024)
+            assert result.method == "bessel"
+            assert result.error_bound <= 1.01 * khinchin._BESSEL_TOL * np.abs(c).max()
+
+
+class TestSteinhausRouter:
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("q", [4, 16, 256, 512])
+    def test_short_rows_keep_the_product_rule(self, n, q):
+        # the fast verify reports (Steinhaus rows with N <= 3) keep their bits
+        rng = np.random.default_rng([n, q])
+        A = np.concatenate([rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n)),
+                            np.ones((1, n)), np.zeros((1, n))])
+        values, bounds, bessel = khinchin._steinhaus_means(A, q)
+        assert not bessel.any()
+        want = khinchin._quadrature(A, q)
+        assert values.tobytes() == want[0].tobytes() and bounds.tobytes() == want[1].tobytes()
+
+    def test_each_row_takes_the_cheaper_path(self):
+        rng = np.random.default_rng(11)
+        flat = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+        assert steinhaus_expectation(flat, q=36).method == "bessel"
+        assert steinhaus_expectation(flat[:4], q=8).method == "quadrature"
+        # one coefficient dominates: phi decays like s^-1/2, Kluyver's path costs more
+        assert steinhaus_expectation([1.0] + [1e-6] * 5, q=36).method == "quadrature"
+        # the zero vector costs no J0 value
+        zero = steinhaus_expectation(np.zeros(5), q=16)
+        assert (zero.value, zero.error_bound, zero.method) == (0.0, 0.0, "bessel")
+
+    def test_mixed_batch_rows_match_lone_calls(self):
+        rng = np.random.default_rng(41)
+        A = rng.standard_normal((6, 5)) + 1j * rng.standard_normal((6, 5))
+        A[1] = [1.0, 1e-6, 1e-6, 1e-6, 1e-6]  # the product rule
+        A[2] = 0.0
+        ordinary = A[3].copy()
+        A[3] *= 1e-310  # a subnormal row, scaled by 2^600 first
+        A[4] = 3.0
+        for chunk in (khinchin._BESSEL_CHUNK, 7):  # 7: pieces of one node
+            with mock.patch.object(khinchin, "_BESSEL_CHUNK", chunk):
+                whole = khinchin._steinhaus_means(A, 32)
+                assert whole[2].any() and not whole[2].all()
+                for i, row in enumerate(A):
+                    alone = khinchin._steinhaus_means(row[None], 32)
+                    assert [part[i:i + 1].tobytes() for part in whole] == [
+                        part.tobytes() for part in alone]
+        assert whole[0][3] == pytest.approx(
+            1e-310 * steinhaus_expectation(ordinary, q=32).value, rel=1e-12)
+
+    def test_nine_and_forty_coefficients(self):
+        # no dimension cap: the budget prices both paths
+        rng = np.random.default_rng(13)
+        for n in (9, 40):
+            c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            result = steinhaus_expectation(c, q=16)
+            assert result.method == "bessel" and result.value > np.abs(c).max()
+
+    def test_budget_counts_the_path_taken(self):
+        c = np.ones(6)
+        terms = int(6 * khinchin._bessel_plan(np.ones((1, 6)))[1][0])
+        assert steinhaus_expectation(c, q=16, budget=terms).method == "bessel"
+        message = (f"65536 terms and Kluyver's Bessel integral {terms} J0 values, "
+                   f"but the budget is {terms - 1}")
+        with pytest.raises(CapacityError, match=message):
+            steinhaus_expectation(c, q=16, budget=terms - 1)
 
 
 class TestCeiling:

@@ -383,6 +383,15 @@ def test_warm_walks_take_no_fresh_pages(monkeypatch, threads):
     form = random_form("real", 12, 12, seed=3)
     coeffs = np.random.default_rng(6).standard_normal(6) + 1j
     assert _faults_per_call(lambda: litt43.real_sup_norm(form), 50) <= 5
+    # 256^3 = 2^24 terms on tables of 256^2: a walk that takes every runner
+    # at the default thresholds
+    with monkeypatch.context() as patch:
+        names = _runner_threads(patch)
+        litt43.e_m_average(coeffs[:4], 256)
+    assert len(set(names)) == threads
+    assert _faults_per_call(lambda: litt43.e_m_average(coeffs[:4], 256), 4) <= 5
+    # Kluyver's Bessel integral allocates only chunk-sized arrays
+    assert litt43.steinhaus_expectation(coeffs, q=36).method == "bessel"
     assert _faults_per_call(lambda: litt43.steinhaus_expectation(coeffs, q=36), 4) <= 5
 
 

@@ -581,10 +581,19 @@ class TestStepWindows:
 
     def test_expensive_objectives_step_one_proposal_at_a_time(self, monkeypatch):
         # without the bound on table elements a window of 64 Steinhaus N = 6
-        # proposals builds 64 tables of 16^5 entries at once
+        # proposals builds 64 tables of 16^5 entries at once; the window is
+        # priced at the product rule whichever path the rows then take
         cfg = SearchConfig(restarts=1, steps=3, scale=0.5, seed=3, dims=(1, 6))
-        assert self._largest_batch(monkeypatch, lambda: maximize_khinchin_ratio(
-            "steinhaus", 2.0, 6, cfg, q=16)) == 1
+        rows, means = [], search._steinhaus_means
+
+        def spy(X, *rest):
+            rows.append(len(X))
+            return means(X, *rest)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(search, "_steinhaus_means", spy)
+            maximize_khinchin_ratio("steinhaus", 2.0, 6, cfg, q=16)
+        assert max(rows) == 1
         cfg = SearchConfig(restarts=1, steps=20, scale=0.5, seed=3, dims=(12, 12))
         assert self._largest_batch(
             monkeypatch, lambda: maximize_ratio("real", _PAIR, cfg)) == 1

@@ -21,6 +21,11 @@ flipping any signs, moves each path's value within its stated bound of the
 exact mean (``tests/test_khinchin.py``: 1 ulp split, 4 ulp walked), so two
 such values agree within twice that.
 
+A Steinhaus row that takes Kluyver's Bessel integral depends on the sorted
+moduli of its coefficients alone, divided by the largest: a 2^e scale, a
+permutation or a quarter turn of any coefficient leaves its bits, and in
+particular moves it by no more than its true error bound.
+
 The example count comes from the loaded hypothesis profile (40 by
 default, 400 under ``--hypothesis-profile=symmetry-deep``; see
 ``conftest.py``).
@@ -108,6 +113,32 @@ def test_steinhaus_quadrature_scales_exactly(n, e, seed):
     c = _coeffs(n, seed)
     value = steinhaus_expectation(c, q=16).value
     assert steinhaus_expectation(c * 2.0 ** e, q=16).value == math.ldexp(value, e)
+
+
+@given(st.integers(5, 9), SCALES, SEEDS)
+@EXAMPLES
+def test_steinhaus_bessel_rows_scale_exactly(n, e, seed):
+    c = _coeffs(n, seed)
+    result = steinhaus_expectation(c, q=64)
+    scaled = steinhaus_expectation(c * 2.0 ** e, q=64)
+    assert result.method == scaled.method == "bessel"
+    assert scaled.value == math.ldexp(result.value, e)
+    assert scaled.error_bound == math.ldexp(result.error_bound, e)
+
+
+@given(st.integers(5, 9), SEEDS, st.data())
+@EXAMPLES
+def test_steinhaus_bessel_rows_ignore_order_and_quarter_turns(n, seed, data):
+    # a permutation and exact unit factors (+-1, +-i) keep every modulus;
+    # the product rule's rows are not claimed here
+    c = _coeffs(n, seed)
+    order = data.draw(st.permutations(range(n)))
+    turns = data.draw(st.lists(st.sampled_from([1, -1, 1j, -1j]), min_size=n, max_size=n))
+    first = steinhaus_expectation(c, q=64)
+    other = steinhaus_expectation(c[list(order)] * np.array(turns), q=64)
+    assert first.method == other.method == "bessel"
+    assert abs(first.value - other.value) <= first.error_bound + other.error_bound
+    assert (other.value, other.error_bound) == (first.value, first.error_bound)
 
 
 @given(ROWS, st.integers(1, 4), SEEDS, st.data())
